@@ -1,11 +1,16 @@
 """The servlet programming model (the paper's Fig 14).
 
 A *servlet* is a generator function ``fn(ctx, request)`` that yields
-processing steps:
+instructions:
 
 - :class:`Compute` — burn CPU on the server's VM,
 - :class:`Call` — a request to a downstream tier ("app", "db", ...),
   whose yielded value is the downstream response payload,
+- :class:`Gather` — several Calls in parallel, resumed at a quorum,
+- :class:`CacheGet`, :class:`CachePut`, :class:`CacheAbort` — the
+  server's attached LRU cache, with single-flight miss coalescing,
+- :class:`StorageRead`, :class:`StorageWrite` — the server's attached
+  write-back store,
 
 and whose ``return`` value becomes the response payload sent upstream.
 
@@ -15,6 +20,8 @@ each ``Call``, exactly Fig 14a) and on an asynchronous server (the
 fires, exactly the event-handler chain of Fig 14b).  That is precisely
 Schneider's transformation the paper applies to RUBBoS: the control flow
 is written once, the *blocking semantics* are supplied by the server.
+Both servers interpret the instructions through one handler table,
+:data:`repro.servers.base.INSTRUCTION_HANDLERS`.
 
 For completeness — and because the paper prints both versions —
 :func:`callback_form` converts a servlet into an explicit

@@ -7,7 +7,7 @@ any admission × concurrency × remediation combination; see
 """
 
 from .async_server import DEFAULT_LITE_Q_DEPTH, AsyncServer
-from .base import BaseServer, ServerStats, advance_servlet
+from .base import BaseServer, ServerStats
 from .cache import CacheStats, LruCache
 from .policies import (
     AdmissionSpec,
@@ -55,7 +55,6 @@ __all__ = [
     "ThreadPoolConcurrency",
     "TierPolicy",
     "TimeoutRetry",
-    "advance_servlet",
     "build_admission",
     "build_concurrency",
     "build_remediation",

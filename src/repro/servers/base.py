@@ -1,17 +1,24 @@
 """Common machinery shared by synchronous and asynchronous servers.
 
 A server owns a listening socket, a VM to burn CPU on, a servlet handler
-and wiring to its downstream tiers.  The *servlet driver* below
-interprets the application's :class:`~repro.apps.servlet.Compute` /
-:class:`~repro.apps.servlet.Call` steps; what differs between server
-types is purely *who executes the driver*:
+and wiring to its downstream tiers.  One table,
+:data:`INSTRUCTION_HANDLERS`, interprets the servlet's instructions
+(:mod:`repro.apps.servlet`): each handler returns the value the servlet
+resumes with at once, or an event to wait on (a downstream call in
+flight, a gather barrier, a single-flight cache fill, a storage
+command).  The two drivers differ only in how they wait:
 
-- a :class:`~repro.servers.sync_server.SyncServer` runs it on one of a
-  bounded pool of threads, which therefore **block** during downstream
-  calls (RPC semantics — the paper's Apache/Tomcat/MySQL), while
-- an :class:`~repro.servers.async_server.AsyncServer` runs each request
-  as a continuation with no thread held across calls (event-driven
+- the thread driver (:meth:`BaseServer._drive`, run by the thread pool
+  of a :class:`~repro.servers.sync_server.SyncServer`) yields the event
+  and so **blocks** its thread (RPC semantics — the paper's
+  Apache/Tomcat/MySQL), while
+- the event loop (:class:`~repro.servers.policies.EventLoopConcurrency`
+  of an :class:`~repro.servers.async_server.AsyncServer`) parks the
+  continuation on the event and frees its worker (event-driven
   semantics — Nginx/XTomcat/XMySQL).
+
+:class:`Compute` stays outside the table: it holds the executor, so
+each driver runs it inline.
 """
 
 from __future__ import annotations
@@ -29,25 +36,17 @@ from ..apps.servlet import (
     StorageRead,
     StorageWrite,
 )
-from ..net.tcp import ConnectionTimeout
+from ..sim.events import _FAILED, _PENDING, Event, SlimEvent
 from ..sim.resources import Resource
 from .gather import GatherCall
 from .replica import ReplicaGroup
 
 __all__ = [
-    "STEP_CACHE_ABORT",
-    "STEP_CACHE_GET",
-    "STEP_CACHE_PUT",
-    "STEP_CALL",
-    "STEP_COMPUTE",
-    "STEP_DONE",
-    "STEP_FAIL",
-    "STEP_GATHER",
-    "STEP_STORAGE_READ",
-    "STEP_STORAGE_WRITE",
+    "INSTRUCTION_HANDLERS",
     "BaseServer",
+    "DownstreamCall",
     "ServerStats",
-    "advance_servlet",
+    "unknown_instruction",
 ]
 
 
@@ -84,63 +83,181 @@ class ServerStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-#: outcome tags of one servlet-driver step — see :func:`advance_servlet`
-(STEP_COMPUTE, STEP_CALL, STEP_DONE, STEP_FAIL, STEP_GATHER,
- STEP_CACHE_GET, STEP_CACHE_PUT, STEP_CACHE_ABORT,
- STEP_STORAGE_READ, STEP_STORAGE_WRITE) = range(10)
+# ----------------------------------------------------------------------
+# the instruction handlers
+# ----------------------------------------------------------------------
+# Each takes (server, step, request) and returns the servlet's resume
+# value or an Event to wait on: the servlet then resumes with the
+# event's value, or has its ServletError thrown in.  A ServletError
+# raised by a handler is thrown into the servlet at once.
+
+def _call(server, step, request):
+    # looked up per call: a remediation policy rebinds server._call
+    return server._call(step, request)
 
 
-def advance_servlet(name, gen, send_value, throw_value):
-    """Advance one servlet continuation by a single step.
-
-    This is *the* servlet-driver step, shared by every concurrency
-    policy: the thread-pool driver loops over it while holding a thread
-    (``BaseServer._drive``), the event-loop driver runs it one stage at
-    a time and parks the continuation across downstream calls.  Returns
-    a ``(tag, payload)`` pair:
-
-    ``(STEP_COMPUTE, seconds)``
-        the servlet wants CPU;
-    ``(STEP_CALL, step)``
-        the servlet wants a downstream :class:`Call`;
-    ``(STEP_GATHER, step)``
-        the servlet wants a parallel :class:`Gather` fan-out;
-    ``(STEP_DONE, value)``
-        the servlet returned ``value``;
-    ``(STEP_FAIL, exc)``
-        the servlet raised :class:`ServletError` ``exc``.
-
-    Anything else the servlet yields is a programming error and raises
-    ``TypeError`` into the driver (killing its worker, not the server).
-    """
+def _gather(server, step, request):
+    # gathers bypass the remediation invoker: the quorum already
+    # tolerates losing legs, and per-leg retries would amplify fan-out
     try:
-        if throw_value is not None:
-            step = gen.throw(throw_value)
-        else:
-            step = gen.send(send_value)
-    except StopIteration as stop:
-        return STEP_DONE, stop.value
+        return GatherCall(server, step, request).response
     except ServletError as exc:
-        return STEP_FAIL, exc
-    if isinstance(step, Compute):
-        return STEP_COMPUTE, step.work
-    if isinstance(step, Call):
-        return STEP_CALL, step
-    if isinstance(step, Gather):
-        return STEP_GATHER, step
-    if isinstance(step, CacheGet):
-        return STEP_CACHE_GET, step
-    if isinstance(step, CachePut):
-        return STEP_CACHE_PUT, step
-    if isinstance(step, CacheAbort):
-        return STEP_CACHE_ABORT, step
-    if isinstance(step, StorageRead):
-        return STEP_STORAGE_READ, step
-    if isinstance(step, StorageWrite):
-        return STEP_STORAGE_WRITE, step
-    raise TypeError(
-        f"{name}: servlet yielded {step!r}, expected Compute, Call or Gather"
+        # an unrouted leg still answers with an event, like an unrouted
+        # Call, so the event loop re-enqueues the continuation for both
+        return SlimEvent(server.sim).fail(exc)
+
+
+def _attached(server, kind):
+    """The server's ``cache`` or ``storage`` backend, which must exist."""
+    backend = getattr(server, kind)
+    if backend is None:
+        raise ServletError(f"{server.name} has no {kind} attached")
+    return backend
+
+
+def _cache_get(server, step, request):
+    cache = _attached(server, "cache")
+    route = step.route if step.route is not None else request.operation
+    found = cache.get(step.key, route)
+    if found[0] or not step.coalesce:
+        return found
+    # single-flight miss: the leader resumes with the miss and goes to
+    # fetch; a follower waits on the leader's event, whose value is the
+    # (hit, value) pair it resumes with
+    follow = cache.lead_or_follow(step.key)
+    return found if follow is None else follow
+
+
+def _cache_put(server, step, request):
+    _attached(server, "cache").put(step.key, step.value, step.ttl)
+
+
+def _cache_abort(server, step, request):
+    _attached(server, "cache").abort(step.key)
+
+
+def _storage_read(server, step, request):
+    return _attached(server, "storage").read(step.size)
+
+
+def _storage_write(server, step, request):
+    ack = _attached(server, "storage").write(step.size)
+    # the write-back fast path acks at admission: resume at once
+    return ack.value if ack.triggered else ack
+
+
+#: instruction class -> handler (see the comment above the handlers);
+#: a new instruction needs one entry here and one handler
+INSTRUCTION_HANDLERS = {
+    Call: _call,
+    Gather: _gather,
+    CacheGet: _cache_get,
+    CachePut: _cache_put,
+    CacheAbort: _cache_abort,
+    StorageRead: _storage_read,
+    StorageWrite: _storage_write,
+}
+
+
+def unknown_instruction(name, step):
+    """The ``TypeError`` a driver raises when a servlet yields something
+    that is no instruction — a programming error that kills the worker,
+    not the server."""
+    kinds = ", ".join(cls.__name__
+                      for cls in (Compute, *INSTRUCTION_HANDLERS))
+    return TypeError(
+        f"{name}: servlet yielded {step!r}, expected one of {kinds}"
     )
+
+
+class DownstreamCall(SlimEvent):
+    """One downstream :class:`Call` in flight — the event both drivers
+    wait on.
+
+    Settles with the reply payload, or fails with :class:`ServletError`
+    when the route is unknown (at once), when retransmissions run out,
+    or when the downstream replies with an error.  Side effects keep one
+    order: ``downstream_calls`` is counted before the pool is asked for
+    a connection, and the connection goes back to the pool before the
+    waiting servlet resumes.  Transmission honours the server's
+    ``pace_rate``.  :class:`~repro.servers.policies.TimeoutRetry`
+    subclasses it to retry.
+    """
+
+    __slots__ = ("server", "step", "request", "route", "exchange")
+
+    def __init__(self, server, step, request):
+        # SlimEvent.__init__ inlined (as in Grant): one call per
+        # downstream call of every request on every tier
+        self.sim = server.sim
+        self._name = None
+        self._state = _PENDING
+        self._value = None
+        self.callbacks = None
+        self.server = server
+        self.step = step
+        self.request = request
+        self.route = route = server._routes.get(step.target)
+        if route is None:
+            self.fail(ServletError(
+                f"{server.name} has no route to tier {step.target!r}"
+            ))
+            return
+        server.stats.downstream_calls += 1
+        pool = route[1]
+        grant = pool.acquire() if pool is not None else None
+        if grant is not None and grant._state == _PENDING:
+            grant.add_callback(self._transmit)
+        else:
+            self._transmit()
+
+    def _transmit(self, _grant=None):
+        """Send now, or at the server's next pacing slot."""
+        server = self.server
+        pace_rate = server.pace_rate
+        if pace_rate is not None:
+            sim = server.sim
+            now = sim.now
+            send_at = max(now, server._next_send_at)
+            server._next_send_at = send_at + 1.0 / pace_rate
+            if send_at > now:
+                sim.call_at(send_at, self._send)
+                return
+        self._send()
+
+    def _send(self):
+        server = self.server
+        now = server.sim.now
+        step = self.step
+        replicas, _pool, label = self.route
+        sub = self.request.child(step.operation, now,
+                                 work_hint=step.work_hint)
+        sub.record(now, "call", label)
+        self.exchange = exchange = replicas.send(server.fabric, sub)
+        exchange.response.add_callback(self._on_response)
+
+    def _on_response(self, response):
+        pool = self.route[1]
+        if pool is not None:
+            pool.release()
+        # state read directly, as Process._resume does: this runs once
+        # per downstream call of every request on every tier
+        if response._state == _FAILED:
+            # ConnectionTimeout: every retransmission was dropped
+            error = str(response._value)
+        else:
+            reply = response._value
+            if reply.ok:
+                self.succeed(reply.value)
+                return
+            error = reply.error
+        self.server.stats.downstream_failures += 1
+        self.fail(ServletError(error))
+
+    def _release(self):
+        pool = self.route[1]
+        if pool is not None:
+            pool.release()
 
 
 class _RoundRobin:
@@ -218,6 +335,9 @@ class BaseServer:
         #: (seconds since the caller first sent the packet, so accept
         #: queueing and retransmissions count); ``None`` = off
         self.latency_observer = None
+        #: downstream calls per second this server may transmit, or
+        #: ``None`` for unpaced; set by an event-loop concurrency policy
+        self.pace_rate = None
         #: downstream invoker used by the drivers; a remediation policy
         #: (repro.servers.policies) rebinds this to wrap ``_invoke``
         #: with timeouts/retries/circuit breaking
@@ -294,21 +414,17 @@ class BaseServer:
             self.stats.peak_queue_depth = depth
 
     # ------------------------------------------------------------------
-    # the servlet driver
+    # the thread driver
     # ------------------------------------------------------------------
     def _drive(self, exchange):
         """Generator running one request's servlet to completion.
 
-        Yields kernel events (CPU completions, downstream responses);
-        both server types delegate here, differing only in what resource
-        is held while the driver runs.
+        Yields the events the instructions wait on (CPU completions,
+        downstream calls, barriers) while the calling thread stays held;
+        see the module docstring.
         """
         # locals bound once per request: the loop below resumes for every
-        # CPU stage and downstream call of every request on every tier.
-        # It is advance_servlet() inlined — one generator resume per step
-        # instead of a call + tag-tuple + dispatch — with identical
-        # semantics (the step-function remains the shared contract for
-        # the event-loop driver and the tests).
+        # instruction of every request on every tier
         sim = self.sim
         name = self.name
         request = exchange.payload
@@ -317,7 +433,7 @@ class BaseServer:
         send = gen.send
         throw = gen.throw
         execute = self.vm.execute
-        call = self._call
+        handlers = INSTRUCTION_HANDLERS
         to_send = None
         to_throw = None
         while True:
@@ -331,163 +447,36 @@ class BaseServer:
                 request.record(sim.now, "reply", name)
                 exchange.reply(Response.success(stop.value))
                 self.stats.completed += 1
-                observer = self.latency_observer
-                if observer is not None:
-                    observer(sim.now - exchange.first_sent_at)
-                return
+                break
             except ServletError as exc:
                 request.record(sim.now, "error", f"{name}: {exc}")
                 exchange.reply(Response.failure(str(exc)))
                 self.stats.failed += 1
-                observer = self.latency_observer
-                if observer is not None:
-                    observer(sim.now - exchange.first_sent_at)
-                return
+                break
+            to_send = None
             cls = step.__class__
             if cls is Compute:
-                to_send = None
                 yield execute(step.work)
-            elif cls is Call:
-                to_send = None
-                try:
-                    to_send = yield from call(step, request)
-                except ServletError as exc:
-                    to_throw = exc
-            elif isinstance(step, Compute):
-                to_send = None
-                yield execute(step.work)
-            elif isinstance(step, Call):
-                to_send = None
-                try:
-                    to_send = yield from call(step, request)
-                except ServletError as exc:
-                    to_throw = exc
-            elif isinstance(step, Gather):
-                to_send = None
-                try:
-                    to_send = yield from self._gather(step, request)
-                except ServletError as exc:
-                    to_throw = exc
-            elif isinstance(step, CacheGet):
-                to_send = None
-                try:
-                    outcome, wait = self._cache_lookup(step, request)
-                    if wait is not None:
-                        # coalesced follower: park on the leader's event
-                        to_send = yield wait
-                    else:
-                        to_send = outcome
-                except ServletError as exc:
-                    to_throw = exc
-            elif isinstance(step, CachePut):
-                to_send = None
-                try:
-                    self._require_cache().put(step.key, step.value, step.ttl)
-                except ServletError as exc:
-                    to_throw = exc
-            elif isinstance(step, CacheAbort):
-                to_send = None
-                try:
-                    self._require_cache().abort(step.key)
-                except ServletError as exc:
-                    to_throw = exc
-            elif isinstance(step, StorageRead):
-                to_send = None
-                try:
-                    to_send = yield self._require_storage().read(step.size)
-                except ServletError as exc:
-                    to_throw = exc
-            elif isinstance(step, StorageWrite):
-                to_send = None
-                try:
-                    to_send = yield self._require_storage().write(step.size)
-                except ServletError as exc:
-                    to_throw = exc
-            else:
-                raise TypeError(
-                    f"{name}: servlet yielded {step!r}, "
-                    "expected Compute, Call or Gather"
-                )
-
-    # ------------------------------------------------------------------
-    # cache / storage steps (shared by both drivers)
-    # ------------------------------------------------------------------
-    def _require_cache(self):
-        cache = self.cache
-        if cache is None:
-            raise ServletError(f"{self.name} has no cache attached")
-        return cache
-
-    def _require_storage(self):
-        storage = self.storage
-        if storage is None:
-            raise ServletError(f"{self.name} has no storage attached")
-        return storage
-
-    def _cache_lookup(self, step, request):
-        """Resolve a :class:`CacheGet` without blocking.
-
-        Returns ``(resume_value, wait_event)``: exactly one side is
-        set.  A hit, a plain miss, or a single-flight *leader* miss
-        resumes immediately with its ``(hit, value)`` pair; a
-        single-flight *follower* gets the leader's event to park on
-        (whose value is the pair the follower resumes with).
-        """
-        cache = self._require_cache()
-        route = step.route if step.route is not None else request.operation
-        hit, value = cache.get(step.key, route)
-        if hit or not step.coalesce:
-            return (hit, value), None
-        event = cache.lead_or_follow(step.key)
-        if event is None:
-            return (False, None), None  # leader: go fetch, then put/abort
-        return None, event
-
-    def _gather(self, step, request):
-        """Issue a parallel fan-out; returns the list of leg payloads.
-
-        The executing thread blocks at the fan-in barrier holding its
-        thread across all legs — the synchronous analogue of a blocked
-        single :class:`Call`.  Raises :class:`ServletError` when the
-        quorum becomes unreachable (the failed barrier event throws it
-        at the ``yield``).  Gathers bypass the remediation invoker:
-        per-leg retries would duplicate fan-out work the quorum already
-        tolerates losing.
-        """
-        return (yield GatherCall(self, step, request).response)
+                continue
+            handler = handlers.get(cls)
+            if handler is None:
+                raise unknown_instruction(name, step)
+            try:
+                outcome = handler(self, step, request)
+                if isinstance(outcome, Event):
+                    outcome = yield outcome
+                to_send = outcome
+            except ServletError as exc:
+                to_throw = exc
+        observer = self.latency_observer
+        if observer is not None:
+            observer(sim.now - exchange.first_sent_at)
 
     def _invoke(self, step, request):
-        """Issue one downstream call; returns the response payload.
-
-        Raises :class:`ServletError` if the call times out (dropped
-        packets exhausted retransmissions) or the downstream replied
-        with an error.
-        """
-        route = self._routes.get(step.target)
-        if route is None:
-            raise ServletError(
-                f"{self.name} has no route to tier {step.target!r}"
-            )
-        replicas, pool, label = route
-        self.stats.downstream_calls += 1
-        if pool is not None:
-            yield pool.acquire()
-        try:
-            sub = request.child(step.operation, self.sim.now, work_hint=step.work_hint)
-            sub.record(self.sim.now, "call", label)
-            exchange = replicas.send(self.fabric, sub)
-            try:
-                response = yield exchange.response
-            except ConnectionTimeout as exc:
-                self.stats.downstream_failures += 1
-                raise ServletError(str(exc)) from exc
-            if not response.ok:
-                self.stats.downstream_failures += 1
-                raise ServletError(response.error)
-            return response.value
-        finally:
-            if pool is not None:
-                pool.release()
+        """Issue one downstream call; returns the :class:`DownstreamCall`
+        to wait on (it fails with :class:`ServletError` on a timeout,
+        an error reply, or an unknown route)."""
+        return DownstreamCall(self, step, request)
 
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.name} depth={self.queue_depth()}>"

@@ -79,8 +79,9 @@ class GatherCall:
 
     Raises :class:`ServletError` from the constructor when any leg
     names a target the server has no route to, before launching
-    anything — the same synchronous contract as a single mis-routed
-    :class:`Call`.
+    anything; the ``Gather`` handler in :mod:`repro.servers.base`
+    turns that into a failed event, as a mis-routed :class:`Call`
+    fails its :class:`~repro.servers.base.DownstreamCall` at once.
     """
 
     __slots__ = (

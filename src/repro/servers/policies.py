@@ -16,16 +16,18 @@ class per design point but a composition of three orthogonal policies:
   instead of letting TCP drop and retransmit — trading silent 3-second
   stalls for fast, explicit failures.
 
-**ConcurrencyPolicy** — who runs the servlet driver
-(:func:`~repro.servers.base.advance_servlet`):
+**ConcurrencyPolicy** — who runs the servlet's instructions, all
+interpreted by the one handler table in :mod:`repro.servers.base`; the
+two policies differ only in how they wait on the event a handler
+returns:
 
 - :class:`ThreadPoolConcurrency` — a bounded pool of threads, each
   held for a request's entire lifetime including downstream waits
   (Apache/Tomcat/MySQL), with the optional Apache-style second
   process.
 - :class:`EventLoopConcurrency` — a few loop workers execute one CPU
-  stage at a time; a downstream call parks the continuation and the
-  response callback re-enqueues it (Nginx/XTomcat/XMySQL).
+  stage at a time; any other wait parks the continuation and the
+  event's callback re-enqueues it (Nginx/XTomcat/XMySQL).
 
 **RemediationPolicy** — what a *caller* does about a slow or failed
 downstream call:
@@ -37,6 +39,9 @@ downstream call:
   the Tail-at-Scale toolkit, including its dark side: retries
   *amplify* load on a struggling downstream (see
   ``experiments/policy_matrix.py`` for where that regime bites).
+
+A remediation policy replaces one invoker, ``server._call``, which
+returns the downstream call in flight that both drivers wait on.
 
 The classic servers are thin presets over this layer::
 
@@ -54,21 +59,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from math import sqrt
 
-from ..apps.servlet import (
-    CacheAbort,
-    CacheGet,
-    CachePut,
-    Call,
-    Compute,
-    Gather,
-    Response,
-    ServletError,
-    StorageRead,
-    StorageWrite,
-)
-from ..net.tcp import SHED, ConnectionTimeout
+from ..apps.servlet import Compute, Response, ServletError
+from ..net.tcp import SHED
+from ..sim.events import Event
 from ..sim.resources import Store
-from .gather import GatherCall
+from .base import INSTRUCTION_HANDLERS, DownstreamCall, unknown_instruction
 
 __all__ = [
     "AdmissionPolicy",
@@ -96,13 +91,23 @@ __all__ = [
 class _Task:
     """One admitted request's continuation state (event-loop driver)."""
 
-    __slots__ = ("exchange", "gen", "send_value", "throw_value")
+    __slots__ = ("exchange", "gen", "ready", "send_value", "throw_value")
 
     def __init__(self, server, exchange):
         self.exchange = exchange
         self.gen = server.handler(server.ctx, exchange.payload)
+        self.ready = server._ready
         self.send_value = None
         self.throw_value = None
+
+    def resume(self, event):
+        """Callback of the event the continuation is parked on: keep its
+        outcome for the servlet and re-enqueue the task."""
+        if event.failed:
+            self.throw_value = event.value
+        else:
+            self.send_value = event.value
+        self.ready.put(self)
 
 
 # ======================================================================
@@ -462,7 +467,6 @@ class EventLoopConcurrency(ConcurrencyPolicy):
         server.pace_rate = self.pace_rate
         server._next_send_at = 0.0
         server._ready = Store(server.sim, name=f"{server.name}.events")
-        server._issue = self._issue_call
 
     def start(self, server):
         for _ in range(self.workers):
@@ -478,19 +482,17 @@ class EventLoopConcurrency(ConcurrencyPolicy):
     def _worker(self, server):
         """One loop worker: run ready continuations, one CPU stage at a
         time; never blocks on downstream calls."""
-        # advance_servlet() inlined, like BaseServer._drive: one
-        # generator resume per stage instead of a call + tag dispatch,
-        # with identical semantics.
         ready = server._ready
         execute = server.vm.execute
         stats = server.stats
-        name = server.name
         finish = server._finish
+        handlers = INSTRUCTION_HANDLERS
         while True:
             task = yield ready.get()
             gen = task.gen
             send = gen.send
             throw = gen.throw
+            request = task.exchange.payload
             while True:
                 try:
                     throw_value = task.throw_value
@@ -507,160 +509,27 @@ class EventLoopConcurrency(ConcurrencyPolicy):
                     finish(task, Response.failure(str(exc)),
                            count_completed=False)
                     break
+                task.send_value = None
                 cls = step.__class__
-                if cls is Compute or isinstance(step, Compute):
-                    task.send_value = None
+                if cls is Compute:
                     # the loop worker executes the stage itself
                     yield execute(step.work)
-                elif cls is Call or isinstance(step, Call):
-                    task.send_value = None
-                    # looked up per call, not bound at worker start: a
-                    # remediation policy may rebind _issue after workers
-                    # are already running
-                    server._issue(server, task, step)
+                    continue
+                handler = handlers.get(cls)
+                if handler is None:
+                    raise unknown_instruction(server.name, step)
+                try:
+                    outcome = handler(server, step, request)
+                except ServletError as exc:
+                    task.throw_value = exc
+                    continue
+                if isinstance(outcome, Event):
+                    # a call that failed at once (no route, open breaker)
+                    # is settled already: resume then runs at once and
+                    # re-enqueues the task behind the other ready ones
+                    outcome.add_callback(task.resume)
                     break  # continuation parked
-                elif cls is Gather or isinstance(step, Gather):
-                    task.send_value = None
-                    # gathers bypass the remediation invoker: the quorum
-                    # already tolerates leg loss, per-leg retries would
-                    # amplify fan-out load
-                    self._issue_gather(server, task, step)
-                    break  # continuation parked
-                elif isinstance(step, CacheGet):
-                    task.send_value = None
-                    try:
-                        outcome, wait = server._cache_lookup(
-                            step, task.exchange.payload
-                        )
-                    except ServletError as exc:
-                        task.throw_value = exc
-                        continue
-                    if wait is None:
-                        task.send_value = outcome
-                        continue
-                    # coalesced follower: park until the leader settles
-                    self._park_on(server, task, wait)
-                    break
-                elif isinstance(step, CachePut):
-                    task.send_value = None
-                    try:
-                        server._require_cache().put(
-                            step.key, step.value, step.ttl
-                        )
-                    except ServletError as exc:
-                        task.throw_value = exc
-                elif isinstance(step, CacheAbort):
-                    task.send_value = None
-                    try:
-                        server._require_cache().abort(step.key)
-                    except ServletError as exc:
-                        task.throw_value = exc
-                elif isinstance(step, (StorageRead, StorageWrite)):
-                    task.send_value = None
-                    try:
-                        storage = server._require_storage()
-                    except ServletError as exc:
-                        task.throw_value = exc
-                        continue
-                    if isinstance(step, StorageRead):
-                        done = storage.read(step.size)
-                    else:
-                        done = storage.write(step.size)
-                    if done.triggered:
-                        # write-back fast path: acked at admission
-                        task.send_value = done.value
-                        continue
-                    self._park_on(server, task, done)
-                    break
-                else:
-                    raise TypeError(
-                        f"{name}: servlet yielded {step!r}, "
-                        "expected Compute, Call or Gather"
-                    )
-
-    @staticmethod
-    def _park_on(server, task, event):
-        """Re-enqueue ``task`` when ``event`` settles — the cache/storage
-        analogue of a parked downstream call."""
-        def on_settled(settled):
-            if settled.failed:
-                task.throw_value = settled.value
-            else:
-                task.send_value = settled.value
-            server._ready.put(task)
-
-        event.add_callback(on_settled)
-
-    def _issue_gather(self, server, task, step):
-        """Fire a parallel fan-out; the barrier callback re-enqueues the
-        task once the quorum is met — no worker held across any leg."""
-        try:
-            call = GatherCall(server, step, task.exchange.payload)
-        except ServletError as exc:
-            task.throw_value = exc
-            server._ready.put(task)
-            return
-
-        def on_settled(event):
-            if event.failed:
-                task.throw_value = event.value
-            else:
-                task.send_value = event.value
-            server._ready.put(task)
-
-        call.response.add_callback(on_settled)
-
-    def _issue_call(self, server, task, step):
-        """Fire a downstream call; the response callback re-enqueues the
-        task — no worker is held while the call is outstanding."""
-        request = task.exchange.payload
-        route = server._routes.get(step.target)
-        if route is None:
-            task.throw_value = ServletError(
-                f"{server.name} has no route to tier {step.target!r}"
-            )
-            server._ready.put(task)
-            return
-        replicas, pool, route_label = route
-        server.stats.downstream_calls += 1
-        sim = server.sim
-
-        def do_send(_grant=None):
-            sub = request.child(step.operation, sim.now,
-                                work_hint=step.work_hint)
-            sub.record(sim.now, "call", route_label)
-            exchange = replicas.send(server.fabric, sub)
-            exchange.response.add_callback(on_response)
-
-        def paced_send(_grant=None):
-            if server.pace_rate is None:
-                do_send()
-                return
-            now = sim.now
-            send_at = max(now, server._next_send_at)
-            server._next_send_at = send_at + 1.0 / server.pace_rate
-            if send_at <= now:
-                do_send()
-            else:
-                sim.call_at(send_at, do_send)
-
-        def on_response(event):
-            if pool is not None:
-                pool.release()
-            if event.failed:
-                server.stats.downstream_failures += 1
-                task.throw_value = ServletError(str(event.value))
-            elif not event.value.ok:
-                server.stats.downstream_failures += 1
-                task.throw_value = ServletError(event.value.error)
-            else:
-                task.send_value = event.value.value
-            server._ready.put(task)
-
-        if pool is not None:
-            pool.acquire().add_callback(paced_send)
-        else:
-            paced_send()
+                task.send_value = outcome
 
 
 # ======================================================================
@@ -732,15 +601,14 @@ class RemediationPolicy:
     kind = "none"
 
     def bind(self, server):
-        """Install the policy's invokers on ``server`` (``_call`` for
-        the blocking driver, ``_issue`` for the event loop)."""
+        """Install the policy's invoker on ``server`` as ``_call``."""
 
 
 class NoRemediation(RemediationPolicy):
     """The paper's behaviour: trust TCP's retransmission schedule.
 
-    ``bind`` is a no-op — the server's default ``_call``/``_issue``
-    already point at the plain, unwrapped invokers.
+    ``bind`` is a no-op — the server's default ``_call`` already points
+    at the plain, unwrapped invoker.
     """
 
 
@@ -780,7 +648,6 @@ class TimeoutRetry(RemediationPolicy):
     def bind(self, server):
         self._server = server
         server._call = self.invoke
-        server._issue = self.issue
 
     def breaker_for(self, target):
         """The per-route breaker (created on first use), or None."""
@@ -793,159 +660,91 @@ class TimeoutRetry(RemediationPolicy):
             )
         return breaker
 
-    # ------------------------------------------------------------------
-    # blocking (thread-pool) path
-    # ------------------------------------------------------------------
     def invoke(self, step, request):
-        """Generator replacing ``BaseServer._invoke`` under this policy."""
-        server = self._server
-        route = server._routes.get(step.target)
-        if route is None:
-            raise ServletError(
-                f"{server.name} has no route to tier {step.target!r}"
-            )
-        replicas, pool, label = route
-        breaker = self.breaker_for(step.target)
-        sim = server.sim
-        stats = server.stats
-        stats.downstream_calls += 1
-        if pool is not None:
-            yield pool.acquire()
-        try:
-            attempt = 0
-            while True:
-                if breaker is not None and not breaker.allow():
-                    stats.breaker_fast_fails += 1
-                    request.record(sim.now, "breaker_open", label)
-                    raise ServletError(
-                        f"{label}: circuit open, failing fast"
-                    )
-                sub = request.child(step.operation, sim.now,
-                                    work_hint=step.work_hint)
-                sub.record(sim.now, "call", label)
-                exchange = replicas.send(server.fabric, sub)
-                timer = sim.timeout(self.timeout)
-                error = None
-                try:
-                    fired = yield sim.any_of([exchange.response, timer])
-                except ConnectionTimeout as exc:
-                    # TCP gave up (all retransmits dropped) before our
-                    # application-level timer did
-                    error = str(exc)
-                else:
-                    if exchange.response in fired:
-                        response = fired[exchange.response]
-                        if response.ok:
-                            if breaker is not None:
-                                breaker.record_success()
-                            return response.value
-                        error = response.error
-                    else:
-                        error = (f"{label}: no response within "
-                                 f"{self.timeout:g}s (attempt {attempt + 1})")
-                stats.downstream_failures += 1
-                if breaker is not None:
-                    breaker.record_failure()
-                if attempt >= self.retries:
-                    raise ServletError(error)
-                attempt += 1
-                stats.retries += 1
-                request.record(sim.now, "retry", label)
-                backoff = self.backoff * (2 ** (attempt - 1))
-                if backoff > 0:
-                    yield backoff
-        finally:
-            if pool is not None:
-                pool.release()
+        """Replaces ``BaseServer._invoke``: the same call in flight, with
+        a timeout per attempt, retries and the route's breaker."""
+        return _RetriedCall(self, self._server, step, request)
 
-    # ------------------------------------------------------------------
-    # parked (event-loop) path
-    # ------------------------------------------------------------------
-    def issue(self, server, task, step):
-        """Callback-style twin of :meth:`invoke` for the event loop."""
-        request = task.exchange.payload
-        route = server._routes.get(step.target)
-        if route is None:
-            task.throw_value = ServletError(
-                f"{server.name} has no route to tier {step.target!r}"
-            )
-            server._ready.put(task)
+
+class _RetriedCall(DownstreamCall):
+    """A :class:`~repro.servers.base.DownstreamCall` under
+    :class:`TimeoutRetry`.
+
+    Each attempt is sent (paced like any call), then raced against the
+    policy's timeout; a timed-out or failed attempt is retried after
+    the backoff until the retry budget runs out or the route's breaker
+    fails the call fast.  The pool connection is held across attempts.
+    """
+
+    __slots__ = ("policy", "breaker", "attempt")
+
+    def __init__(self, policy, server, step, request):
+        self.policy = policy
+        self.breaker = None
+        self.attempt = 0
+        DownstreamCall.__init__(self, server, step, request)
+
+    def _send(self):
+        policy = self.policy
+        server = self.server
+        self.breaker = breaker = policy.breaker_for(self.step.target)
+        if breaker is not None and not breaker.allow():
+            label = self.route[2]
+            server.stats.breaker_fast_fails += 1
+            self.request.record(server.sim.now, "breaker_open", label)
+            self._give_up(f"{label}: circuit open, failing fast")
             return
-        replicas, pool, label = route
-        breaker = self.breaker_for(step.target)
-        sim = server.sim
-        stats = server.stats
-        stats.downstream_calls += 1
-        state = {"attempt": 0}
+        DownstreamCall._send(self)
+        server.sim.call_in(policy.timeout, self._timed_out, self.exchange)
 
-        def resume_ok(value):
-            if pool is not None:
-                pool.release()
-            task.send_value = value
-            server._ready.put(task)
+    def _on_response(self, response):
+        exchange = self.exchange
+        if exchange is None or response is not exchange.response:
+            return  # that attempt already timed out
+        self.exchange = None
+        if response.failed:
+            # ConnectionTimeout: TCP gave up before our timer did
+            self._attempt_failed(str(response.value))
+            return
+        reply = response.value
+        if not reply.ok:
+            self._attempt_failed(reply.error)
+            return
+        if self.breaker is not None:
+            self.breaker.record_success()
+        self._release()
+        self.succeed(reply.value)
 
-        def resume_fail(error):
-            if pool is not None:
-                pool.release()
-            task.throw_value = ServletError(error)
-            server._ready.put(task)
+    def _timed_out(self, exchange):
+        if exchange is not self.exchange:
+            return  # that attempt already answered
+        self.exchange = None
+        self._attempt_failed(
+            f"{self.route[2]}: no response within "
+            f"{self.policy.timeout:g}s (attempt {self.attempt + 1})"
+        )
 
-        def attempt_send(*_args):
-            if breaker is not None and not breaker.allow():
-                stats.breaker_fast_fails += 1
-                request.record(sim.now, "breaker_open", label)
-                resume_fail(f"{label}: circuit open, failing fast")
-                return
-            sub = request.child(step.operation, sim.now,
-                                work_hint=step.work_hint)
-            sub.record(sim.now, "call", label)
-            exchange = replicas.send(server.fabric, sub)
-            settled = {"done": False}
-
-            def on_response(event):
-                if settled["done"]:
-                    return
-                settled["done"] = True
-                if event.failed:
-                    attempt_failed(str(event.value))
-                elif not event.value.ok:
-                    attempt_failed(event.value.error)
-                else:
-                    if breaker is not None:
-                        breaker.record_success()
-                    resume_ok(event.value.value)
-
-            def on_timer():
-                if settled["done"]:
-                    return
-                settled["done"] = True
-                attempt_failed(f"{label}: no response within "
-                               f"{self.timeout:g}s "
-                               f"(attempt {state['attempt'] + 1})")
-
-            exchange.response.add_callback(on_response)
-            sim.call_in(self.timeout, on_timer)
-
-        def attempt_failed(error):
-            stats.downstream_failures += 1
-            if breaker is not None:
-                breaker.record_failure()
-            if state["attempt"] >= self.retries:
-                resume_fail(error)
-                return
-            state["attempt"] += 1
-            stats.retries += 1
-            request.record(sim.now, "retry", label)
-            backoff = self.backoff * (2 ** (state["attempt"] - 1))
-            if backoff > 0:
-                sim.call_in(backoff, attempt_send)
-            else:
-                attempt_send()
-
-        if pool is not None:
-            pool.acquire().add_callback(attempt_send)
+    def _attempt_failed(self, error):
+        policy = self.policy
+        server = self.server
+        server.stats.downstream_failures += 1
+        if self.breaker is not None:
+            self.breaker.record_failure()
+        if self.attempt >= policy.retries:
+            self._give_up(error)
+            return
+        self.attempt += 1
+        server.stats.retries += 1
+        self.request.record(server.sim.now, "retry", self.route[2])
+        backoff = policy.backoff * (2 ** (self.attempt - 1))
+        if backoff > 0:
+            server.sim.call_in(backoff, self._transmit)
         else:
-            attempt_send()
+            self._transmit()
+
+    def _give_up(self, error):
+        self._release()
+        self.fail(ServletError(error))
 
 
 # ======================================================================

@@ -5,7 +5,13 @@ import pytest
 from repro.apps.servlet import Call, Compute, Request
 from repro.cpu import Host
 from repro.net import NetworkFabric
-from repro.servers import AsyncServer, SyncServer
+from repro.servers import (
+    AsyncServer,
+    RemediationSpec,
+    SyncServer,
+    TierPolicy,
+    policy_server,
+)
 from repro.sim import Simulator
 
 
@@ -261,13 +267,17 @@ def test_pace_rate_validation(sim, fabric):
                     pace_rate=0)
 
 
-def test_pacing_spreads_downstream_calls(sim, fabric):
-    """20 simultaneous requests, pace 100/s: queries arrive 10 ms apart."""
+@pytest.mark.parametrize("remediation", [None, RemediationSpec("retry")],
+                         ids=["none", "retry"])
+def test_pacing_spreads_downstream_calls(sim, fabric, remediation):
+    """20 simultaneous requests, pace 100/s: queries arrive 10 ms apart,
+    whichever remediation policy issues them."""
     db = SyncServer(sim, fabric, "db", make_vm(sim, "db", cores=4),
                     compute_handler(0.0001), threads=64, backlog=64)
-    app = AsyncServer(sim, fabric, "app", make_vm(sim, "app"),
-                      two_stage_handler(0.00001, 0.00001), workers=8,
-                      pace_rate=100.0)
+    app = policy_server(sim, fabric, "app", make_vm(sim, "app"),
+                        two_stage_handler(0.00001, 0.00001),
+                        TierPolicy.asynchronous(workers=8, pace_rate=100.0,
+                                                remediation=remediation))
     app.connect("db", db.listener)
     arrivals = []
     original = db.listener.deliver

@@ -5,7 +5,7 @@ import pytest
 from repro.apps.servlet import Call, Compute, Request
 from repro.cpu import Host
 from repro.net import NetworkFabric
-from repro.servers import ServerStats, SyncServer
+from repro.servers import AsyncServer, ServerStats, SyncServer
 from repro.sim import Simulator
 
 
@@ -86,21 +86,49 @@ def test_peak_queue_depth_tracked(sim, fabric):
     assert server.stats.peak_queue_depth == 4
 
 
-def test_bad_servlet_yield_type_kills_the_worker(sim, fabric):
+INSTRUCTIONS = ("Compute", "Call", "Gather", "CacheGet", "CachePut",
+                "CacheAbort", "StorageRead", "StorageWrite")
+
+
+@pytest.mark.parametrize("driver", ["thread", "eventloop"])
+def test_bad_servlet_yield_type_kills_the_worker(sim, fabric, driver):
     """A servlet yielding garbage is a programming error: the worker
-    process fails with TypeError and the request never gets a reply
-    (it is not converted into a client-visible error response)."""
+    process fails with a TypeError naming every instruction, and the
+    request never gets a reply (it is not converted into a
+    client-visible error response)."""
 
     def bad_handler(ctx, request):
         yield "not a step"
 
-    server = SyncServer(sim, fabric, "srv", make_vm(sim), bad_handler,
-                        threads=1)
+    processes = []
+    spawn = sim.process
+
+    def recording_process(generator, name=None):
+        process = spawn(generator, name=name)
+        processes.append(process)
+        return process
+
+    sim.process = recording_process
+    if driver == "thread":
+        server = SyncServer(sim, fabric, "srv", make_vm(sim), bad_handler,
+                            threads=1)
+    else:
+        server = AsyncServer(sim, fabric, "srv", make_vm(sim), bad_handler,
+                             workers=1)
     results = send_one(sim, fabric, server.listener)
     sim.run(until=1.0)
     assert results == []                 # no reply ever arrived
     assert server.stats.completed == 0
-    assert server.busy_threads == 0      # worker died, slot not restored
+    assert server.stats.failed == 0
+    if driver == "thread":
+        assert server.busy_threads == 0  # the worker's finally still ran
+    dead = [process for process in processes if process.failed]
+    assert len(dead) == 1
+    error = dead[0].value
+    assert isinstance(error, TypeError)
+    assert "'not a step'" in str(error)
+    for kind in INSTRUCTIONS:
+        assert kind in str(error)
 
 
 def test_unrouted_call_fails_request_not_server(sim, fabric):

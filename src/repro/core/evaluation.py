@@ -167,16 +167,10 @@ class RunResult:
             for group in self.system.tier_groups()
         ]
 
-    def _tier_edges(self):
-        """Invocation edges of the topology, or None for a linear one
-        (systems predating ``tier_edges()`` are all chains)."""
-        edges = getattr(self.system, "tier_edges", None)
-        return edges() if edges is not None else None
-
     def ctqo_events(self, **kwargs):
         vm_of = self.vm_to_server()
         analyzer = CtqoAnalyzer(self._tier_order(), vm_of=vm_of,
-                                edges=self._tier_edges())
+                                edges=self.system.tier_edges())
         return analyzer.attribute_drops(
             self.millibottlenecks(**kwargs),
             {
@@ -237,7 +231,7 @@ class RunResult:
             self._tier_order(),
             vm_of=self.vm_to_server(), window=window,
             tolerance=monitor.interval + 1e-9,
-            edges=self._tier_edges(),
+            edges=self.system.tier_edges(),
         )
         # extras first: ownership prefers the earliest-starting episode
         # and breaks ties by list order, so a same-instant application

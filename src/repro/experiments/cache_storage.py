@@ -26,7 +26,7 @@ offered load:
     bounded by the keyspace, which is sized under the backing queue —
     no overflow, no RTO, VLRT back to zero;
 ``storm_codel``
-    CoDel-style AQM at the backing tier (``AdmissionSpec("codel")``)
+    CoDel-style AQM at the backing tier (``TierPolicy.codel``)
     plus caller-side retries at the cache tier: instead of silently
     dropping into a 3 s RTO, the overloaded tier sheds 503s the moment
     queueing delay persists above target; the cache retries the shed
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from ..core.evaluation import GraphRunResult
 from ..metrics.detector import cache_miss_episodes
-from ..servers.policies import AdmissionSpec, RemediationSpec
+from ..servers.policies import RemediationSpec, TierPolicy
 from ..sim.kernel import Simulator
 from ..topology.graph import EdgeSpec, NodeSpec, ServiceGraph, build_graph
 from ..units import ms
@@ -140,22 +140,24 @@ INFLATION_FACTOR = 10.0
 def build_cache_storage(variant, seed=42, bus=None, streaming=False):
     """Build one cell's system; returns the live ``GraphSystem``."""
     spec = VARIANTS[variant]
-    front = NodeSpec("front", pre_work=ms(0.1), sync=False, workers=2)
+    front = NodeSpec("front", pre_work=ms(0.1),
+                     policy=TierPolicy.asynchronous(workers=2))
     if spec["family"] == "cache":
         cache = NodeSpec(
             "cache", kind="cache", cache_capacity=CACHE_CAPACITY,
             keyspace=KEYSPACE, coalesce=spec["coalesce"],
-            sync=False, workers=2,
-            remediation=RemediationSpec("retry", **RETRY_SPEC)
-            if spec["codel"] else None,
+            policy=TierPolicy.asynchronous(
+                workers=2,
+                remediation=RemediationSpec("retry", **RETRY_SPEC)
+                if spec["codel"] else None,
+            ),
         )
         db = NodeSpec(
-            "db", pre_work=DB_WORK, sync=True, threads=DB_THREADS,
-            backlog=DB_BACKLOG,
-            admission=AdmissionSpec(
-                "codel", depth=CODEL_DEPTH, target=CODEL_TARGET,
+            "db", pre_work=DB_WORK, backlog=DB_BACKLOG,
+            policy=TierPolicy.codel(
+                depth=CODEL_DEPTH, threads=DB_THREADS, target=CODEL_TARGET,
                 interval=CODEL_INTERVAL,
-            ) if spec["codel"] else None,
+            ) if spec["codel"] else TierPolicy.sync(threads=DB_THREADS),
         )
         graph = ServiceGraph(
             [front, cache, db],
@@ -166,7 +168,7 @@ def build_cache_storage(variant, seed=42, bus=None, streaming=False):
             "store", kind="storage", storage_service_time=STORE_SERVICE,
             write_fraction=WRITE_FRACTION,
             write_buffer=BOUNDED_BUFFER if spec["bounded"] else None,
-            sync=True, threads=STORE_THREADS,
+            policy=TierPolicy.sync(threads=STORE_THREADS),
         )
         graph = ServiceGraph([front, store], [EdgeSpec("front", "store")])
     sim = Simulator(seed=seed, bus=bus)

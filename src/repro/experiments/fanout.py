@@ -50,6 +50,7 @@ from __future__ import annotations
 from ..core.evaluation import GraphRunResult
 from ..core.tail import percentiles
 from ..injectors.logflush import LogFlushInjector
+from ..servers.policies import TierPolicy
 from ..servers.replica import HedgingSpec
 from ..sim.kernel import Simulator
 from ..topology.graph import NodeSpec, build_graph, fan_out
@@ -134,9 +135,8 @@ def build_fanout(variant, n, rate, seed=42, bus=None, streaming=False):
     sizes = _sizes(rate)
     root = NodeSpec(
         "root",
-        sync=spec["sync_root"],
-        threads=sizes["root_threads"],
-        workers=2,
+        policy=(TierPolicy.sync(threads=sizes["root_threads"])
+                if spec["sync_root"] else TierPolicy.asynchronous(workers=2)),
         backlog=sizes["root_backlog"],
         pre_work=ROOT_PRE,
         post_work=ROOT_POST,
@@ -145,7 +145,7 @@ def build_fanout(variant, n, rate, seed=42, bus=None, streaming=False):
     leaves = [
         NodeSpec(
             f"leaf{i + 1}",
-            threads=LEAF_THREADS,
+            policy=TierPolicy.sync(threads=LEAF_THREADS),
             backlog=sizes["leaf_backlog"],
             pre_work=LEAF_WORK,
             replicas=2 if spec["hedged"] else 1,

@@ -30,9 +30,11 @@ Since the policy refactor this class is a thin **preset** over
 
     eager LiteQ admission × event-loop concurrency × no remediation
 
-kept for its name, its constructor signature and its attributes
-(``inflight``, ``lite_q_depth``, ``ready_events``, ...), which the
-experiments, monitors and tests all rely on.
+kept as a named preset for code that constructs a server directly.
+Built topologies make the same composition from
+``TierPolicy.asynchronous(...)`` through
+:func:`~repro.servers.runtime.policy_server`, with the same attributes
+(``inflight``, ``lite_q_depth``, ``ready_events``, ...).
 """
 
 from __future__ import annotations

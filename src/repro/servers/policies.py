@@ -50,7 +50,9 @@ The classic servers are thin presets over this layer::
 
 and hybrids (eager admission feeding a thread pool, a bounded shedding
 queue in front of either, retries at any tier) become configuration —
-see the :class:`TierPolicy` spec consumed by ``topology/builder.py``.
+see the :class:`TierPolicy` spec: ``SystemConfig.tier_policy`` maps each
+3-tier server to one, and every ``NodeSpec`` of a service graph carries
+one, so ``topology/graph.py`` builds every server from it.
 """
 
 from __future__ import annotations
@@ -748,7 +750,7 @@ class _RetriedCall(DownstreamCall):
 
 
 # ======================================================================
-# declarative specs (consumed by topology/configs.py + builder.py)
+# declarative specs (one per server: NodeSpec.policy, tier_policy())
 # ======================================================================
 _ADMISSION_KINDS = ("backlog", "eager", "shed", "codel")
 _CONCURRENCY_KINDS = ("threads", "eventloop")
@@ -806,6 +808,14 @@ class ConcurrencySpec:
                 f"concurrency kind must be one of {_CONCURRENCY_KINDS}, "
                 f"got {self.kind!r}"
             )
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.pace_rate is not None and self.pace_rate <= 0:
+            raise ValueError(
+                f"pace_rate must be positive or None, got {self.pace_rate}"
+            )
 
 
 @dataclass(frozen=True)
@@ -830,15 +840,36 @@ class RemediationSpec:
                 f"remediation kind must be one of {_REMEDIATION_KINDS}, "
                 f"got {self.kind!r}"
             )
+        if self.timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.backoff < 0:
+            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
 
 
 @dataclass(frozen=True)
 class TierPolicy:
-    """One tier's full policy triple, with preset constructors."""
+    """One tier's full policy triple, with preset constructors.
+
+    The defaults compose the classic RPC server: kernel backlog, a
+    150-thread pool and no remediation.
+    """
 
     admission: AdmissionSpec = field(default_factory=AdmissionSpec)
     concurrency: ConcurrencySpec = field(default_factory=ConcurrencySpec)
     remediation: RemediationSpec = field(default_factory=RemediationSpec)
+
+    def __post_init__(self):
+        for name, spec in (("admission", AdmissionSpec),
+                           ("concurrency", ConcurrencySpec),
+                           ("remediation", RemediationSpec)):
+            value = getattr(self, name)
+            if not isinstance(value, spec):
+                raise ValueError(
+                    f"{name} must be an instance of {spec.__name__}, "
+                    f"got {value!r}"
+                )
 
     @classmethod
     def sync(cls, threads=150, spawn_extra_process=False, spawn_after=0.5,

@@ -20,9 +20,11 @@ Since the policy refactor this class is a thin **preset** over
 
     kernel-backlog admission × thread-pool concurrency × no remediation
 
-kept for its name, its constructor signature and its attributes
-(``busy_threads``, ``thread_capacity``, ...), which the experiments,
-monitors and tests all rely on.
+kept as a named preset for code that constructs a server directly.
+Built topologies make the same composition from
+``TierPolicy.sync(...)`` through
+:func:`~repro.servers.runtime.policy_server`, with the same attributes
+(``busy_threads``, ``thread_capacity``, ...).
 """
 
 from __future__ import annotations

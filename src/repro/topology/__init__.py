@@ -1,6 +1,6 @@
 """Topology builders for the paper's n-tier configurations."""
 
-from .builder import NTierSystem, build_system
+from .builder import NTierSystem, build_system, three_tier_graph
 from .chain import ChainSystem, TierSpec, build_chain, uniform_chain
 from .configs import SystemConfig, server_names
 from .consolidation import (
@@ -37,4 +37,5 @@ __all__ = [
     "build_system",
     "server_names",
     "sysbursty_mix",
+    "three_tier_graph",
 ]

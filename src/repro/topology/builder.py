@@ -4,23 +4,29 @@ The standard RUBBoS 1/1/1 topology: one web server, one application
 server, one database server, each on its own VM on its own physical
 host (Fig 13).  Millibottleneck injectors later consolidate an
 antagonist VM onto one of these hosts (Fig 2) or freeze a VM's disk.
+
+The system is a preset over the service-graph core:
+:func:`three_tier_graph` turns the config into a web → app → db
+:class:`~repro.topology.graph.ServiceGraph` whose nodes carry the
+nx-selected server policies, and :func:`~repro.topology.graph.build_graph`
+builds it.  :class:`NTierSystem` and :class:`ReplicatedNTierSystem` are
+views of the built graph keyed by tier.
 """
 
 from __future__ import annotations
 
 from ..apps.rubbos import APP_TIER, DB_TIER, WEB_TIER, RubbosApplication
-from ..cpu.host import Host
 from ..cpu.overhead import ThreadOverheadModel
-from ..net.tcp import NetworkFabric
-from ..servers.async_server import AsyncServer
-from ..servers.replica import ReplicaGroup
-from ..servers.runtime import policy_server
-from ..servers.sync_server import SyncServer
 from ..sim.kernel import Simulator
 from .configs import SystemConfig, server_names
-from .graph import ServiceSystem
+from .graph import EdgeSpec, NodeSpec, ServiceGraph, ServiceSystem, build_graph
 
-__all__ = ["NTierSystem", "ReplicatedNTierSystem", "build_system"]
+__all__ = [
+    "NTierSystem",
+    "ReplicatedNTierSystem",
+    "build_system",
+    "three_tier_graph",
+]
 
 _TIERS = (WEB_TIER, APP_TIER, DB_TIER)
 
@@ -28,252 +34,40 @@ _TIERS = (WEB_TIER, APP_TIER, DB_TIER)
 class NTierSystem(ServiceSystem):
     """A built system: kernel, fabric, hosts, VMs, servers, app, log.
 
-    ``servers`` and ``vms`` are keyed by tier ("web"/"app"/"db");
-    ``names`` maps tiers to the display names used in the figures
-    (apache/nginx, tomcat/xtomcat, mysql/xmysql), with ``name_prefix``
-    applied when several systems share one simulation (Fig 2's
-    SysSteady/SysBursty pair).  Monitor/log wiring and drop/shed
-    accounting come from the shared :class:`ServiceSystem` surface.
+    ``servers``, ``vms`` and ``hosts`` are keyed by tier
+    ("web"/"app"/"db"); ``names`` maps tiers to the display names used
+    in the figures (apache/nginx, tomcat/xtomcat, mysql/xmysql), with
+    ``name_prefix`` applied when several systems share one simulation
+    (Fig 2's SysSteady/SysBursty pair).  Monitor/log wiring and
+    drop/shed accounting come from the shared :class:`ServiceSystem`
+    surface.
     """
 
-    def __init__(self, sim, config, name_prefix=""):
+    def __init__(self, sim, graph, fabric, config, app, name_prefix=""):
+        self._init_shared(sim, graph, fabric, streaming=config.streaming,
+                          name_prefix=name_prefix)
         self.config = config
-        self.names = {
-            tier: name_prefix + name
-            for tier, name in server_names(config).items()
-        }
-        self._init_shared(
-            sim,
-            NetworkFabric(
-                sim,
-                latency=config.net_latency,
-                rto=config.tcp_rto,
-                max_retransmits=config.max_retransmits,
-            ),
-            streaming=config.streaming,
-            name_prefix=name_prefix,
-        )
-        self.app = RubbosApplication(config.interaction_specs)
+        self.app = app
+        self._monitor_interval = config.monitor_interval
+        self.names = {node.name: node.replica_names[0] for node in graph.nodes}
         self.hosts = {}
         self.vms = {}
         self.servers = {}
 
-    @property
-    def _monitor_interval(self):
-        return self.config.monitor_interval
-
-    # ------------------------------------------------------------------
-    @property
-    def entry(self):
-        """The listener clients send to (the web tier)."""
-        return self.servers[WEB_TIER].listener
+    def _place(self, node, built):
+        super()._place(node, built)
+        self.hosts[node.name], self.vms[node.name], self.servers[node.name] = (
+            built[0]
+        )
 
     def host_of(self, tier):
         return self.hosts[tier]
 
-    # replica-agnostic iteration (shared surface with the replicated
-    # system, so RunResult and attribution handle both uniformly) ------
-    def server_items(self):
-        """(display name, server) pairs, tier order, one per replica."""
-        return [(self.names[t], self.servers[t]) for t in _TIERS]
-
-    def vm_items(self):
-        return [(self.names[t], self.vms[t]) for t in _TIERS]
-
-    def host_items(self):
-        return [(self.names[t], self.hosts[t]) for t in _TIERS]
-
-    def tier_groups(self):
-        """Tier-ordered display-name groups (replicas share a group)."""
-        return [[self.names[t]] for t in _TIERS]
-
-    def tier_edges(self):
-        """Invocation edges as (i, j) pairs into :meth:`tier_groups`:
-        the linear web → app → db path."""
-        return [(0, 1), (1, 2)]
-
     def __repr__(self):
-        stack = "-".join(
-            self.names[t] for t in (WEB_TIER, APP_TIER, DB_TIER)
-        )
+        stack = "-".join(self.names[t] for t in _TIERS)
         return f"<NTierSystem nx={self.config.nx} {stack}>"
 
 
-def build_system(config=None, sim=None, host_overrides=None, name_prefix="",
-                 bus=None):
-    """Construct the 3-tier system described by ``config``.
-
-    Returns an :class:`NTierSystem`; the caller attaches workload
-    generators and injectors, then runs ``system.sim.run(until=...)``.
-
-    ``host_overrides`` maps tier names ("web"/"app"/"db") to existing
-    :class:`~repro.cpu.host.Host` objects, co-locating that tier's VM on
-    another system's physical machine — the paper's VM consolidation.
-    ``name_prefix`` distinguishes the servers/VMs of multiple systems in
-    one simulation.  ``bus`` installs an instrumentation
-    :class:`~repro.sim.instrument.EventBus` on the new simulator before
-    any resource is wired, so every substrate component publishes to it.
-    """
-    config = config or SystemConfig()
-    if sim is not None and sim.seed != config.seed:
-        raise ValueError(
-            f"simulator seed {sim.seed!r} != config.seed {config.seed!r}; "
-            "forked RNG streams would not be reproducible from the config"
-        )
-    if sim is not None and bus is not None:
-        raise ValueError(
-            "pass the bus to the existing simulator, not to build_system: "
-            "components capture sim.bus at construction"
-        )
-    if config.is_replicated:
-        # any tier with > 1 replica takes the scale-out build path; the
-        # classic path below is untouched so 1/1/1 systems stay
-        # byte-identical to their golden records
-        if host_overrides:
-            raise ValueError(
-                "host_overrides is not supported with replicated tiers; "
-                "consolidate via Scenario.with_consolidation instead"
-            )
-        sim = sim or Simulator(seed=config.seed, bus=bus)
-        return _build_replicated_system(config, sim, name_prefix)
-    sim = sim or Simulator(seed=config.seed, bus=bus)
-    host_overrides = host_overrides or {}
-    system = NTierSystem(sim, config, name_prefix=name_prefix)
-    handlers = system.app.handlers()
-
-    overhead = None
-    if config.thread_overhead:
-        overhead = ThreadOverheadModel(
-            switch_cost=config.switch_cost,
-            gc_cost=config.gc_cost,
-            free_threads=config.free_threads,
-        )
-
-    # one VM per tier, each on a dedicated host (Fig 13's deployment)
-    # unless a host override consolidates it onto a shared machine
-    for tier, vcpus in (
-        (WEB_TIER, 1),
-        (APP_TIER, config.app_vcpus),
-        (DB_TIER, 1),
-    ):
-        name = system.names[tier]
-        host = host_overrides.get(tier)
-        if host is None:
-            host = Host(sim, cores=max(1, vcpus), name=f"{name}-host")
-        # the thread-count overhead model only applies to tiers whose
-        # concurrency actually multiplies threads with load
-        policy = config.tier_policy(_tier_attr(tier))
-        if policy is not None:
-            is_async = policy.concurrency.kind == "eventloop"
-        else:
-            is_async = getattr(config, f"{_tier_attr(tier)}_is_async")
-        vm = host.add_vm(
-            f"{name}-vm",
-            vcpus=vcpus,
-            efficiency=None if is_async else overhead,
-        )
-        system.hosts[tier] = host
-        system.vms[tier] = vm
-
-    # --- web tier -----------------------------------------------------
-    if config.web_policy is not None:
-        system.servers[WEB_TIER] = policy_server(
-            sim, system.fabric, system.names[WEB_TIER], system.vms[WEB_TIER],
-            handlers[WEB_TIER], config.web_policy,
-            backlog=config.web_backlog,
-        )
-    elif config.web_is_async:
-        system.servers[WEB_TIER] = AsyncServer(
-            sim, system.fabric, system.names[WEB_TIER], system.vms[WEB_TIER],
-            handlers[WEB_TIER],
-            lite_q_depth=config.lite_q_depth,
-            workers=config.nginx_workers,
-            backlog=config.web_backlog,
-        )
-    else:
-        system.servers[WEB_TIER] = SyncServer(
-            sim, system.fabric, system.names[WEB_TIER], system.vms[WEB_TIER],
-            handlers[WEB_TIER],
-            threads=config.web_threads,
-            backlog=config.web_backlog,
-            spawn_extra_process=config.web_spawn_extra_process,
-            spawn_after=config.web_spawn_after,
-            max_processes=config.web_max_processes,
-        )
-
-    # --- app tier -----------------------------------------------------
-    if config.app_policy is not None:
-        system.servers[APP_TIER] = policy_server(
-            sim, system.fabric, system.names[APP_TIER], system.vms[APP_TIER],
-            handlers[APP_TIER], config.app_policy,
-            backlog=config.app_backlog,
-        )
-    elif config.app_is_async:
-        # XTomcat: NIO connector (huge lightweight queue) feeding the
-        # regular servlet executor pool — requests park in the connector
-        # queue instead of the kernel backlog, and executors never block
-        # on the (asynchronous) database connector.
-        system.servers[APP_TIER] = AsyncServer(
-            sim, system.fabric, system.names[APP_TIER], system.vms[APP_TIER],
-            handlers[APP_TIER],
-            lite_q_depth=config.lite_q_depth,
-            workers=config.xtomcat_workers,
-            backlog=config.app_backlog,
-            pace_rate=config.xtomcat_pace_rate,
-        )
-    else:
-        system.servers[APP_TIER] = SyncServer(
-            sim, system.fabric, system.names[APP_TIER], system.vms[APP_TIER],
-            handlers[APP_TIER],
-            threads=config.app_threads,
-            backlog=config.app_backlog,
-        )
-
-    # --- db tier ------------------------------------------------------
-    if config.db_policy is not None:
-        system.servers[DB_TIER] = policy_server(
-            sim, system.fabric, system.names[DB_TIER], system.vms[DB_TIER],
-            handlers[DB_TIER], config.db_policy,
-            backlog=config.db_backlog,
-        )
-    elif config.db_is_async:
-        system.servers[DB_TIER] = AsyncServer(
-            sim, system.fabric, system.names[DB_TIER], system.vms[DB_TIER],
-            handlers[DB_TIER],
-            lite_q_depth=config.xmysql_queue,
-            workers=config.xmysql_slots,
-            backlog=config.db_backlog,
-        )
-    else:
-        system.servers[DB_TIER] = SyncServer(
-            sim, system.fabric, system.names[DB_TIER], system.vms[DB_TIER],
-            handlers[DB_TIER],
-            threads=config.db_threads,
-            backlog=config.db_backlog,
-        )
-
-    # --- wiring ---------------------------------------------------------
-    system.servers[WEB_TIER].connect(APP_TIER, system.servers[APP_TIER].listener)
-    # A synchronous Tomcat talks to MySQL through a bounded JDBC pool;
-    # the asynchronous connector multiplexes and needs no pool.
-    if config.app_policy is not None:
-        app_blocks = config.app_policy.concurrency.kind == "threads"
-    else:
-        app_blocks = not config.app_is_async
-    pool = config.db_pool_size if app_blocks else None
-    system.servers[APP_TIER].connect(
-        DB_TIER, system.servers[DB_TIER].listener, pool_size=pool
-    )
-    return system
-
-
-def _tier_attr(tier):
-    return {WEB_TIER: "web", APP_TIER: "app", DB_TIER: "db"}[tier]
-
-
-# ======================================================================
-# scale-out: replicated tiers behind load balancers
-# ======================================================================
 class ReplicatedNTierSystem(NTierSystem):
     """An n-tier system whose tiers are replica groups.
 
@@ -287,64 +81,23 @@ class ReplicatedNTierSystem(NTierSystem):
     pools and (optionally) hedges per the config.
     """
 
-    def __init__(self, sim, config, name_prefix=""):
-        super().__init__(sim, config, name_prefix=name_prefix)
-        base = {
-            tier: name_prefix + name
-            for tier, name in server_names(config).items()
+    def __init__(self, sim, graph, fabric, config, app, name_prefix=""):
+        super().__init__(sim, graph, fabric, config, app,
+                         name_prefix=name_prefix)
+        self.replica_names = {
+            node.name: node.replica_names for node in graph.nodes
         }
-        self.replica_names = {}
-        for tier in _TIERS:
-            count = config.tier_replicas(_tier_attr(tier))
-            if count == 1:
-                self.replica_names[tier] = [base[tier]]
-            else:
-                self.replica_names[tier] = [
-                    f"{base[tier]}{i + 1}" for i in range(count)
-                ]
-        # tier-keyed accessors resolve to the first replica
-        self.names = {tier: self.replica_names[tier][0] for tier in _TIERS}
-        self.hosts = {tier: [] for tier in _TIERS}
-        self.vms = {tier: [] for tier in _TIERS}
-        self.servers = {tier: [] for tier in _TIERS}
-        #: route label → ReplicaGroup (client entry + per-caller groups)
-        self.groups = {}
-        self.client_group = None
 
-    # ------------------------------------------------------------------
-    @property
-    def entry(self):
-        if self.client_group is not None:
-            return self.client_group
-        return self.servers[WEB_TIER][0].listener
+    def _place(self, node, built):
+        # every replica, where NTierSystem keeps the single one
+        ServiceSystem._place(self, node, built)
+        hosts, vms, servers = (list(column) for column in zip(*built))
+        self.hosts[node.name] = hosts
+        self.vms[node.name] = vms
+        self.servers[node.name] = servers
 
     def host_of(self, tier, replica=0):
         return self.hosts[tier][replica]
-
-    def server_items(self):
-        return [
-            (name, server)
-            for tier in _TIERS
-            for name, server in zip(self.replica_names[tier],
-                                    self.servers[tier])
-        ]
-
-    def vm_items(self):
-        return [
-            (name, vm)
-            for tier in _TIERS
-            for name, vm in zip(self.replica_names[tier], self.vms[tier])
-        ]
-
-    def host_items(self):
-        return [
-            (name, host)
-            for tier in _TIERS
-            for name, host in zip(self.replica_names[tier], self.hosts[tier])
-        ]
-
-    def tier_groups(self):
-        return [list(self.replica_names[tier]) for tier in _TIERS]
 
     def _watch(self, monitor):
         """Monitor every replica's VM, then every server, then every
@@ -365,143 +118,111 @@ class ReplicatedNTierSystem(NTierSystem):
         return f"<ReplicatedNTierSystem nx={self.config.nx} {stack}>"
 
 
-def _tier_server(sim, system, config, tier, name, vm, handler):
-    """Build one server of ``tier`` named ``name`` — the same per-tier
-    policy/async/sync selection as the classic build path."""
-    attr = _tier_attr(tier)
-    policy = config.tier_policy(attr)
-    fabric = system.fabric
-    if policy is not None:
-        return policy_server(
-            sim, fabric, name, vm, handler, policy,
-            backlog=getattr(config, f"{attr}_backlog"),
+def three_tier_graph(config, app=None, name_prefix=""):
+    """The web → app → db :class:`ServiceGraph` of ``config``.
+
+    Node names are the tiers (the route keys the RUBBoS servlets call);
+    labels are the paper's server names with ``name_prefix``.  Each
+    node's server is ``config.tier_policy(tier)``; a tier with N > 1
+    replicas balances (and optionally hedges) per the config.  ``app``
+    supplies the servlets (a fresh :class:`RubbosApplication` of the
+    config's mix by default).
+    """
+    app = app or RubbosApplication(config.interaction_specs)
+    handlers = app.handlers()
+    names = server_names(config)
+    nodes = []
+    for tier in _TIERS:
+        replicas = config.tier_replicas(tier)
+        servlet = handlers[tier]
+        nodes.append(NodeSpec(
+            tier, policy=config.tier_policy(tier),
+            label=name_prefix + names[tier],
+            backlog=getattr(config, f"{tier}_backlog"),
+            vcpus=config.app_vcpus if tier == APP_TIER else 1,
+            replicas=replicas, balancer=config.balancer,
+            hedging=config.hedging if replicas > 1 else None,
+            handler=lambda node, successors, rng, servlet=servlet: servlet,
+        ))
+    # a blocking Tomcat talks to MySQL through a bounded JDBC pool (per
+    # replica when MySQL is replicated); the asynchronous connector
+    # multiplexes and needs no pool
+    app_blocks = config.tier_policy(APP_TIER).concurrency.kind == "threads"
+    edges = [
+        EdgeSpec(WEB_TIER, APP_TIER),
+        EdgeSpec(APP_TIER, DB_TIER,
+                 pool=config.db_pool_size if app_blocks else None),
+    ]
+    return ServiceGraph(nodes, edges)
+
+
+def build_system(config=None, sim=None, host_overrides=None, name_prefix="",
+                 bus=None):
+    """Construct the 3-tier system described by ``config``.
+
+    Returns an :class:`NTierSystem` (a :class:`ReplicatedNTierSystem`
+    when any tier has more than one replica); the caller attaches
+    workload generators and injectors, then runs
+    ``system.sim.run(until=...)``.
+
+    ``host_overrides`` maps tier names ("web"/"app"/"db") to existing
+    :class:`~repro.cpu.host.Host` objects, co-locating that tier's VM on
+    another system's physical machine — the paper's VM consolidation.
+    ``name_prefix`` distinguishes the servers/VMs of multiple systems in
+    one simulation.  ``bus`` installs an instrumentation
+    :class:`~repro.sim.instrument.EventBus` on the new simulator before
+    any resource is wired, so every substrate component publishes to it.
+    """
+    config = config or SystemConfig()
+    if sim is not None and sim.seed != config.seed:
+        raise ValueError(
+            f"simulator seed {sim.seed!r} != config.seed {config.seed!r}; "
+            "forked RNG streams would not be reproducible from the config"
         )
-    if attr == "web":
-        if config.web_is_async:
-            return AsyncServer(
-                sim, fabric, name, vm, handler,
-                lite_q_depth=config.lite_q_depth,
-                workers=config.nginx_workers,
-                backlog=config.web_backlog,
+    if sim is not None and bus is not None:
+        raise ValueError(
+            "pass the bus to the existing simulator, not to build_system: "
+            "components capture sim.bus at construction"
+        )
+    host_overrides = host_overrides or {}
+    if host_overrides and config.is_replicated:
+        raise ValueError(
+            "host_overrides is not supported with replicated tiers; "
+            "consolidate via Scenario.with_consolidation instead"
+        )
+    for tier in host_overrides:
+        if tier not in _TIERS:
+            raise ValueError(
+                f"host_overrides: unknown tier {tier!r}; "
+                f"tiers are {', '.join(_TIERS)}"
             )
-        return SyncServer(
-            sim, fabric, name, vm, handler,
-            threads=config.web_threads,
-            backlog=config.web_backlog,
-            spawn_extra_process=config.web_spawn_extra_process,
-            spawn_after=config.web_spawn_after,
-            max_processes=config.web_max_processes,
-        )
-    if attr == "app":
-        if config.app_is_async:
-            return AsyncServer(
-                sim, fabric, name, vm, handler,
-                lite_q_depth=config.lite_q_depth,
-                workers=config.xtomcat_workers,
-                backlog=config.app_backlog,
-                pace_rate=config.xtomcat_pace_rate,
-            )
-        return SyncServer(
-            sim, fabric, name, vm, handler,
-            threads=config.app_threads,
-            backlog=config.app_backlog,
-        )
-    if config.db_is_async:
-        return AsyncServer(
-            sim, fabric, name, vm, handler,
-            lite_q_depth=config.xmysql_queue,
-            workers=config.xmysql_slots,
-            backlog=config.db_backlog,
-        )
-    return SyncServer(
-        sim, fabric, name, vm, handler,
-        threads=config.db_threads,
-        backlog=config.db_backlog,
+    sim = sim or Simulator(seed=config.seed, bus=bus)
+    app = RubbosApplication(config.interaction_specs)
+    graph = three_tier_graph(config, app, name_prefix)
+    view = ReplicatedNTierSystem if config.is_replicated else NTierSystem
+    system = build_graph(
+        graph, sim=sim, seed=config.seed, net_latency=config.net_latency,
+        rto=config.tcp_rto, max_retransmits=config.max_retransmits,
+        hosts={graph.node(tier).label: host
+               for tier, host in host_overrides.items()},
+        system_factory=lambda sim, graph, fabric: view(
+            sim, graph, fabric, config, app, name_prefix
+        ),
     )
-
-
-def _route_group(system, caller_name, tier, pool_size=None):
-    """A fresh caller-owned ReplicaGroup over ``tier``'s listeners."""
-    config = system.config
-    listeners = [server.listener for server in system.servers[tier]]
-    hedging = config.hedging if len(listeners) > 1 else None
-    label = f"{caller_name}->{_tier_attr(tier)}"
-    group = ReplicaGroup(
-        system.sim, label, listeners,
-        balancer=config.balancer, hedging=hedging, pool_size=pool_size,
-    )
-    system.groups[label] = group
-    return group
-
-
-def _build_replicated_system(config, sim, name_prefix):
-    """The scale-out twin of :func:`build_system`: every tier becomes a
-    list of replicas, every replicated route a ReplicaGroup."""
-    system = ReplicatedNTierSystem(sim, config, name_prefix=name_prefix)
-    handlers = system.app.handlers()
-
-    overhead = None
     if config.thread_overhead:
+        # the thread-count overhead model (Fig 12) only applies to
+        # tiers whose concurrency actually multiplies threads with load
         overhead = ThreadOverheadModel(
             switch_cost=config.switch_cost,
             gc_cost=config.gc_cost,
             free_threads=config.free_threads,
         )
-
-    # every replica on its own VM on its own host (scale-*out*, not up)
-    for tier, vcpus in (
-        (WEB_TIER, 1),
-        (APP_TIER, config.app_vcpus),
-        (DB_TIER, 1),
-    ):
-        attr = _tier_attr(tier)
-        policy = config.tier_policy(attr)
-        if policy is not None:
-            is_async = policy.concurrency.kind == "eventloop"
-        else:
-            is_async = getattr(config, f"{attr}_is_async")
-        for name in system.replica_names[tier]:
-            host = Host(sim, cores=max(1, vcpus), name=f"{name}-host")
-            vm = host.add_vm(
-                f"{name}-vm",
-                vcpus=vcpus,
-                efficiency=None if is_async else overhead,
-            )
-            server = _tier_server(
-                sim, system, config, tier, name, vm, handlers[tier]
-            )
-            system.hosts[tier].append(host)
-            system.vms[tier].append(vm)
-            system.servers[tier].append(server)
-
-    # --- wiring -------------------------------------------------------
-    # clients -> web: a shared entry group when the web tier is
-    # replicated (the generators detect .send and dispatch through it)
-    if len(system.servers[WEB_TIER]) > 1:
-        system.client_group = _route_group(system, "clients", WEB_TIER)
-
-    # web -> app: per-caller groups when the app tier is replicated
-    app_replicated = len(system.servers[APP_TIER]) > 1
-    for name, web in zip(system.replica_names[WEB_TIER],
-                         system.servers[WEB_TIER]):
-        if app_replicated:
-            web.connect(APP_TIER, _route_group(system, name, APP_TIER))
-        else:
-            web.connect(APP_TIER, system.servers[APP_TIER][0].listener)
-
-    # app -> db: the JDBC pool becomes per-replica inside the group
-    if config.app_policy is not None:
-        app_blocks = config.app_policy.concurrency.kind == "threads"
-    else:
-        app_blocks = not config.app_is_async
-    pool = config.db_pool_size if app_blocks else None
-    db_replicated = len(system.servers[DB_TIER]) > 1
-    for name, app in zip(system.replica_names[APP_TIER],
-                         system.servers[APP_TIER]):
-        if db_replicated:
-            app.connect(DB_TIER, _route_group(system, name, DB_TIER,
-                                              pool_size=pool))
-        else:
-            app.connect(DB_TIER, system.servers[DB_TIER][0].listener,
-                        pool_size=pool)
+        threaded = {
+            name for node in graph.nodes
+            if node.policy.concurrency.kind == "threads"
+            for name in node.replica_names
+        }
+        for name, vm in system.vm_items():
+            if name in threaded:
+                vm.efficiency = overhead
     return system

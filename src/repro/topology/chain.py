@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..servers.policies import RemediationSpec
-from ..servers.replica import BALANCERS, HedgingSpec
+from ..servers.policies import RemediationSpec, TierPolicy
+from ..servers.replica import HedgingSpec
 from ..units import ms
 from .graph import EdgeSpec, GraphSystem, NodeSpec, ServiceGraph, build_graph
 
@@ -72,42 +72,8 @@ class TierSpec:
     hedging: HedgingSpec = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.sync and self.threads < 1:
-            raise ValueError(f"{self.name}: threads must be >= 1")
-        if not self.sync and self.workers < 1:
-            raise ValueError(f"{self.name}: workers must be >= 1")
-        if self.calls_to_next < 1:
-            raise ValueError(f"{self.name}: calls_to_next must be >= 1")
-        if (self.remediation is not None
-                and not isinstance(self.remediation, RemediationSpec)):
-            raise ValueError(
-                f"{self.name}: remediation must be a RemediationSpec or "
-                f"None, got {self.remediation!r}"
-            )
-        if self.replicas < 1:
-            raise ValueError(f"{self.name}: replicas must be >= 1")
-        if self.balancer not in BALANCERS:
-            raise ValueError(
-                f"{self.name}: balancer must be one of {sorted(BALANCERS)}, "
-                f"got {self.balancer!r}"
-            )
-        if self.hedging is not None:
-            if not isinstance(self.hedging, HedgingSpec):
-                raise ValueError(
-                    f"{self.name}: hedging must be a HedgingSpec or None, "
-                    f"got {self.hedging!r}"
-                )
-            if self.replicas < 2:
-                raise ValueError(
-                    f"{self.name}: hedging needs replicas >= 2"
-                )
-
-    @property
-    def replica_names(self):
-        """Display names: ``[name]`` or ``[name1, .., nameN]``."""
-        if self.replicas == 1:
-            return [self.name]
-        return [f"{self.name}{i + 1}" for i in range(self.replicas)]
+        # the graph node (and its policy specs) carries every check
+        self.node_spec()
 
     @property
     def max_sys_q_depth(self):
@@ -118,13 +84,19 @@ class TierSpec:
     def node_spec(self):
         """The graph-core node equivalent of this tier (``pool_to_next``
         lives on the outgoing edge instead)."""
+        if self.sync:
+            policy = TierPolicy.sync(threads=self.threads,
+                                     remediation=self.remediation)
+        else:
+            policy = TierPolicy.asynchronous(
+                lite_q_depth=self.lite_q_depth, workers=self.workers,
+                remediation=self.remediation,
+            )
         return NodeSpec(
-            name=self.name, sync=self.sync, threads=self.threads,
-            workers=self.workers, backlog=self.backlog,
-            lite_q_depth=self.lite_q_depth, vcpus=self.vcpus,
-            pre_work=self.pre_work, mid_work=self.mid_work,
-            post_work=self.post_work, calls_to_next=self.calls_to_next,
-            stochastic=self.stochastic, remediation=self.remediation,
+            name=self.name, policy=policy, backlog=self.backlog,
+            vcpus=self.vcpus, pre_work=self.pre_work,
+            mid_work=self.mid_work, post_work=self.post_work,
+            calls_to_next=self.calls_to_next, stochastic=self.stochastic,
             replicas=self.replicas, balancer=self.balancer,
             hedging=self.hedging,
         )

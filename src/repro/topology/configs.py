@@ -94,10 +94,11 @@ class SystemConfig:
     interaction_specs: list = field(default=None, repr=False)
 
     # --- scale-out: per-tier replica groups --------------------------
-    # 1 everywhere keeps the paper's 1/1/1 topology (and the classic
-    # single-server build path, byte-identical to previous releases);
-    # any tier > 1 switches to the replicated builder, where every tier
-    # becomes a ReplicaGroup behind ``balancer`` and per-replica pools.
+    # 1 everywhere keeps the paper's 1/1/1 topology; a tier with N > 1
+    # replicas builds servers ``tomcat1..N`` (each on its own host), and
+    # every route into it becomes a ReplicaGroup behind ``balancer``
+    # with per-replica pools (build_system returns the tier-keyed
+    # ReplicatedNTierSystem view of the same service graph).
     web_replicas: int = 1
     app_replicas: int = 1
     db_replicas: int = 1
@@ -109,9 +110,8 @@ class SystemConfig:
     hedging: HedgingSpec = field(default=None, repr=False)
 
     # --- per-tier invocation-policy overrides ------------------------
-    # None keeps the nx-derived preset for that tier (byte-identical to
-    # the classic SyncServer/AsyncServer); a
-    # :class:`repro.servers.policies.TierPolicy` replaces it with any
+    # None keeps the nx-derived preset for that tier (see tier_policy);
+    # a :class:`repro.servers.policies.TierPolicy` replaces it with any
     # admission x concurrency x remediation composition — bounded
     # load-shedding queues, LiteQ-fronted thread pools, caller-side
     # retries with circuit breakers (see experiments/policy_matrix.py).
@@ -133,6 +133,9 @@ class SystemConfig:
                 raise ValueError(
                     f"{name} must be a TierPolicy or None, got {policy!r}"
                 )
+        for tier_attr in ("web", "app", "db"):
+            # the preset specs validate the nx-selected server values
+            self.tier_policy(tier_attr)
         for name in ("web_replicas", "app_replicas", "db_replicas"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -153,8 +156,39 @@ class SystemConfig:
                 )
 
     def tier_policy(self, tier_attr):
-        """Policy override for ``"web"``/``"app"``/``"db"``, or None."""
-        return getattr(self, f"{tier_attr}_policy")
+        """The server shape of ``"web"``/``"app"``/``"db"``: its policy
+        override if set, else the nx preset of the paper's stack."""
+        override = getattr(self, f"{tier_attr}_policy")
+        if override is not None:
+            return override
+        if tier_attr == "web":
+            if self.web_is_async:  # Nginx
+                return TierPolicy.asynchronous(
+                    lite_q_depth=self.lite_q_depth,
+                    workers=self.nginx_workers,
+                )
+            return TierPolicy.sync(  # Apache, with its second process
+                threads=self.web_threads,
+                spawn_extra_process=self.web_spawn_extra_process,
+                spawn_after=self.web_spawn_after,
+                max_processes=self.web_max_processes,
+            )
+        if tier_attr == "app":
+            if self.app_is_async:
+                # XTomcat: NIO connector (huge lightweight queue) feeding
+                # the regular servlet executor pool, which never blocks
+                # on the asynchronous database connector
+                return TierPolicy.asynchronous(
+                    lite_q_depth=self.lite_q_depth,
+                    workers=self.xtomcat_workers,
+                    pace_rate=self.xtomcat_pace_rate,
+                )
+            return TierPolicy.sync(threads=self.app_threads)  # Tomcat
+        if self.db_is_async:  # XMySQL: InnoDB slots + wait queue
+            return TierPolicy.asynchronous(
+                lite_q_depth=self.xmysql_queue, workers=self.xmysql_slots,
+            )
+        return TierPolicy.sync(threads=self.db_threads)  # MySQL
 
     def tier_replicas(self, tier_attr):
         """Replica count for ``"web"``/``"app"``/``"db"``."""

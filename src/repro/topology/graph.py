@@ -12,12 +12,15 @@ and servers.  Nodes with one outgoing edge issue plain sequential
 a :class:`~repro.apps.servlet.Gather` barrier (all-of, or first-K-of
 with ``quorum``).
 
-The linear builders are thin presets over this core:
-:func:`repro.topology.chain.build_chain` converts its ``TierSpec`` list
-to a path graph and delegates here (byte-identical systems — the
-construction order below deliberately replays the historical chain
-order), and the 3-tier ``builder.py`` systems share the
-:class:`ServiceSystem` monitor/log surface.
+:func:`build_graph` is the only code that places hosts and VMs, builds
+servers and wires routes.  Every server is one
+:func:`~repro.servers.runtime.policy_server` built from its node's
+:class:`~repro.servers.policies.TierPolicy`.  The paper's systems are
+byte-identical presets over it: :func:`repro.topology.chain.build_chain`
+converts its ``TierSpec`` list to a path graph, and
+:func:`repro.topology.builder.build_system` turns a ``SystemConfig``
+into the web → app → db graph (replicated or not) and views the result
+by tier.  The construction order below replays both historical orders.
 """
 
 from __future__ import annotations
@@ -40,19 +43,11 @@ from ..cpu.host import Host
 from ..metrics.monitor import SystemMonitor
 from ..metrics.trace import RequestLog, RequestRecord
 from ..net.tcp import ConnectionTimeout, NetworkFabric
-from ..servers.async_server import AsyncServer
 from ..servers.cache import LruCache
-from ..servers.policies import (
-    AdmissionSpec,
-    ConcurrencySpec,
-    RemediationSpec,
-    TierPolicy,
-    build_remediation,
-)
+from ..servers.policies import TierPolicy
 from ..servers.replica import BALANCERS, HedgingSpec, ReplicaGroup
 from ..servers.runtime import policy_server
 from ..servers.storage import WriteBackStore
-from ..servers.sync_server import SyncServer
 from ..sim.kernel import Simulator
 from ..units import ms
 
@@ -85,24 +80,26 @@ class NodeSpec:
     edges issues one parallel :class:`~repro.apps.servlet.Gather` over
     all of them, resuming on all-of or — with ``quorum=K`` — on the
     first K responses.
+
+    ``name`` is the route key: servlets call it and route labels
+    (``caller->name``) carry it.  ``label`` is the display name of the
+    node's servers, hosts and VMs (``name`` unless given).
     """
 
     name: str
-    sync: bool = True
-    threads: int = 150
-    workers: int = 1
+    #: the server shape: admission × concurrency × remediation (the
+    #: remediation applies to this node's *outgoing* calls); the default
+    #: is the classic RPC server with 150 threads
+    policy: TierPolicy = field(default_factory=TierPolicy, repr=False)
+    label: str = None
     backlog: int = 128
-    lite_q_depth: int = 65535
     vcpus: int = 1
     pre_work: float = ms(0.1)
     mid_work: float = ms(0.1)
     post_work: float = ms(0.4)
     calls_to_next: int = 1
     stochastic: bool = True
-    #: optional :class:`~repro.servers.policies.RemediationSpec` applied
-    #: to this node's *outgoing* calls; None keeps trust-TCP behaviour.
-    remediation: RemediationSpec = field(default=None, repr=False)
-    #: scale-out: replicas of this node (``{name}1..{name}N`` when > 1)
+    #: scale-out: replicas of this node (``{label}1..{label}N`` when > 1)
     replicas: int = 1
     #: how callers pick among this node's replicas
     balancer: str = "round_robin"
@@ -132,13 +129,10 @@ class NodeSpec:
     write_buffer: int = None
     #: storage nodes: fraction of arriving commands that are writes
     write_fraction: float = 0.0
-    #: optional :class:`~repro.servers.policies.AdmissionSpec` override
-    #: (e.g. shed / codel AQM); the node is then built as a
-    #: :class:`~repro.servers.runtime.PolicyServer` instead of the
-    #: Sync/Async preset
-    admission: AdmissionSpec = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.label is None:
+            self.label = self.name
         if self.kind not in NODE_KINDS:
             raise ValueError(
                 f"{self.name}: kind must be one of {NODE_KINDS}, "
@@ -166,24 +160,13 @@ class NodeSpec:
                     f"{self.name}: write_fraction must be in [0, 1], "
                     f"got {self.write_fraction}"
                 )
-        if (self.admission is not None
-                and not isinstance(self.admission, AdmissionSpec)):
+        if not isinstance(self.policy, TierPolicy):
             raise ValueError(
-                f"{self.name}: admission must be an AdmissionSpec or "
-                f"None, got {self.admission!r}"
+                f"{self.name}: policy must be a TierPolicy, "
+                f"got {self.policy!r}"
             )
-        if self.sync and self.threads < 1:
-            raise ValueError(f"{self.name}: threads must be >= 1")
-        if not self.sync and self.workers < 1:
-            raise ValueError(f"{self.name}: workers must be >= 1")
         if self.calls_to_next < 1:
             raise ValueError(f"{self.name}: calls_to_next must be >= 1")
-        if (self.remediation is not None
-                and not isinstance(self.remediation, RemediationSpec)):
-            raise ValueError(
-                f"{self.name}: remediation must be a RemediationSpec or "
-                f"None, got {self.remediation!r}"
-            )
         if self.replicas < 1:
             raise ValueError(f"{self.name}: replicas must be >= 1")
         if self.balancer not in BALANCERS:
@@ -206,18 +189,10 @@ class NodeSpec:
 
     @property
     def replica_names(self):
-        """Display names: ``[name]`` or ``[name1, .., nameN]``."""
+        """Display names: ``[label]`` or ``[label1, .., labelN]``."""
         if self.replicas == 1:
-            return [self.name]
-        return [f"{self.name}{i + 1}" for i in range(self.replicas)]
-
-    @property
-    def max_sys_q_depth(self):
-        if self.admission is not None and self.admission.kind != "backlog":
-            return self.admission.depth + self.backlog
-        if self.sync:
-            return self.threads + self.backlog
-        return self.lite_q_depth + self.backlog
+            return [self.label]
+        return [f"{self.label}{i + 1}" for i in range(self.replicas)]
 
 
 @dataclass(frozen=True)
@@ -246,11 +221,11 @@ class EdgeSpec:
 class ServiceGraph:
     """A validated service DAG: nodes, invocation edges, one entry.
 
-    Validation (at construction) rejects duplicate node names, edges
-    naming unknown endpoints, duplicate edges, self-loops, cycles, and
-    nodes unreachable from the entry — every service must be on some
-    invocation path, or its servers would sit idle while attribution
-    walks dead edges.
+    Validation (at construction) rejects duplicate node names, two
+    servers sharing a display name, edges naming unknown endpoints,
+    duplicate edges, self-loops, cycles, and nodes unreachable from the
+    entry — every service must be on some invocation path, or its
+    servers would sit idle while attribution walks dead edges.
     """
 
     def __init__(self, nodes, edges=(), entry=None):
@@ -261,6 +236,11 @@ class ServiceGraph:
         names = [node.name for node in self.nodes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate node names in {names}")
+        # display names key RNG streams, monitor series and lookups
+        displays = [name for node in self.nodes for name in node.replica_names]
+        if len(set(displays)) != len(displays):
+            clashes = sorted({n for n in displays if displays.count(n) > 1})
+            raise ValueError(f"duplicate replica display names {clashes}")
         self._by_name = {node.name: node for node in self.nodes}
         self.entry = entry if entry is not None else self.nodes[0].name
         if self.entry not in self._by_name:
@@ -394,26 +374,70 @@ def fan_out(root, leaves, edge_pool=None):
 # the shared system surface
 # ======================================================================
 class ServiceSystem:
-    """Monitor, log and drop/shed accounting shared by every built
-    topology (graph, chain, 3-tier) — one copy of the wiring that used
-    to be duplicated between ``builder.py`` and ``chain.py``.
+    """The surface every built topology shares (graph, chain, 3-tier):
+    the built graph's replicas, monitor, log, drop/shed accounting.
 
-    Subclasses provide ``server_items()`` / ``vm_items()`` (display
-    name, object) pairs and may override :meth:`_watch` to change the
-    monitor registration order (which is part of the golden byte
-    contract for existing topologies).
+    :func:`build_graph` records each node's replicas through
+    :meth:`_place`.  Subclasses extend it to keep their own view (flat
+    lists for a graph, tier-keyed dicts for the 3-tier systems) and may
+    override :meth:`_watch` to change the monitor registration order
+    (which is part of the golden byte contract for existing
+    topologies).
     """
 
     #: fallback sampling interval; 3-tier systems use the config's
     _monitor_interval = 0.05
 
-    def _init_shared(self, sim, fabric, streaming=False, name_prefix=""):
+    def _init_shared(self, sim, graph, fabric, streaming=False,
+                     name_prefix=""):
         self.sim = sim
+        self.graph = graph
         self.fabric = fabric
         self.name_prefix = name_prefix
         self.log = RequestLog(streaming=streaming)
         self.monitor = None
+        #: where clients send: the entry node's listener, or
+        #: ``client_group`` when the entry node is replicated
+        self.entry = None
+        self.client_group = None
+        #: route label -> ReplicaGroup, for every replicated hop
+        self.groups = {}
+        #: replica display name -> LruCache, for ``kind="cache"`` nodes
+        self.caches = {}
+        #: replica display name -> WriteBackStore, ``kind="storage"``
+        self.storages = {}
+        # (display name, host, vm, server) per replica, declaration order
+        self._replicas = []
 
+    def _place(self, node, built):
+        """Record ``node``'s built ``(host, vm, server)`` replicas."""
+        for name, parts in zip(node.replica_names, built):
+            self._replicas.append((name, *parts))
+
+    # replica-agnostic iteration (the surface RunResult and attribution
+    # consume) ---------------------------------------------------------
+    def server_items(self):
+        """(display name, server) pairs, one per replica."""
+        return [(name, server) for name, _h, _v, server in self._replicas]
+
+    def vm_items(self):
+        return [(name, vm) for name, _h, vm, _s in self._replicas]
+
+    def host_items(self):
+        return [(name, host) for name, host, _v, _s in self._replicas]
+
+    def tier_groups(self):
+        """Topo-ordered display-name groups (replicas share a group)."""
+        return [
+            list(self.graph.node(name).replica_names)
+            for name in self.graph.topo_order()
+        ]
+
+    def tier_edges(self):
+        """Invocation edges as (i, j) pairs into :meth:`tier_groups`."""
+        return self.graph.edge_index_pairs()
+
+    # ------------------------------------------------------------------
     def attach_monitor(self, interval=None):
         """Create and start a SystemMonitor over every VM and server."""
         if self.monitor is None:
@@ -432,14 +456,14 @@ class ServiceSystem:
                                                self.server_items()):
             monitor.watch_vm(name, vm)
             monitor.watch_server(name, server)
-        for label, group in getattr(self, "groups", {}).items():
+        for label, group in self.groups.items():
             monitor.watch_group(label, group)
         # cache/storage watches come last: the registration order above
         # is part of the golden byte contract for existing topologies,
         # and no existing topology carries either kind
-        for name, cache in getattr(self, "caches", {}).items():
+        for name, cache in self.caches.items():
             monitor.watch_cache(name, cache)
-        for name, store in getattr(self, "storages", {}).items():
+        for name, store in self.storages.items():
             monitor.watch_storage(name, store)
 
     def drop_counts(self):
@@ -464,16 +488,13 @@ class ServiceSystem:
 
     def group_stats(self):
         """Route label → cumulative balancer/hedging counters."""
-        return {
-            label: group.stats()
-            for label, group in getattr(self, "groups", {}).items()
-        }
+        return {label: group.stats() for label, group in self.groups.items()}
 
     def hedge_totals(self):
         """Aggregate hedging counters across every route."""
         totals = {"hedges_issued": 0, "hedge_wins": 0,
                   "hedge_losses": 0, "hedges_cancelled": 0}
-        for group in getattr(self, "groups", {}).values():
+        for group in self.groups.values():
             for key in totals:
                 totals[key] += getattr(group, key)
         return totals
@@ -495,8 +516,7 @@ class GraphSystem(ServiceSystem):
     clients_rng_label = "graph-clients"
 
     def __init__(self, sim, graph, fabric, streaming=False):
-        self._init_shared(sim, fabric, streaming=streaming)
-        self.graph = graph
+        self._init_shared(sim, graph, fabric, streaming=streaming)
         #: flat display names, one entry per *replica*, declaration order
         self.names = [
             name for node in graph.nodes for name in node.replica_names
@@ -504,20 +524,13 @@ class GraphSystem(ServiceSystem):
         self.hosts = []
         self.vms = []
         self.servers = []
-        #: route label -> ReplicaGroup, for every replicated hop
-        self.groups = {}
-        #: replica display name -> LruCache, for ``kind="cache"`` nodes
-        self.caches = {}
-        #: replica display name -> WriteBackStore, ``kind="storage"``
-        self.storages = {}
-        self.client_group = None
 
-    @property
-    def entry(self):
-        if self.client_group is not None:
-            return self.client_group
-        return self.server(self.graph.node(self.graph.entry)
-                           .replica_names[0]).listener
+    def _place(self, node, built):
+        super()._place(node, built)
+        for host, vm, server in built:
+            self.hosts.append(host)
+            self.vms.append(vm)
+            self.servers.append(server)
 
     def server(self, name):
         return self.servers[self.names.index(name)]
@@ -527,28 +540,6 @@ class GraphSystem(ServiceSystem):
 
     def host_of(self, name):
         return self.hosts[self.names.index(name)]
-
-    # replica-agnostic iteration (the surface RunResult and attribution
-    # consume) ---------------------------------------------------------
-    def server_items(self):
-        return list(zip(self.names, self.servers))
-
-    def vm_items(self):
-        return list(zip(self.names, self.vms))
-
-    def host_items(self):
-        return list(zip(self.names, self.hosts))
-
-    def tier_groups(self):
-        """Topo-ordered display-name groups (replicas share a group)."""
-        return [
-            list(self.graph.node(name).replica_names)
-            for name in self.graph.topo_order()
-        ]
-
-    def tier_edges(self):
-        """Invocation edges as (i, j) pairs into :meth:`tier_groups`."""
-        return self.graph.edge_index_pairs()
 
     def gather_totals(self):
         """Aggregate scatter-gather counters across every server."""
@@ -748,22 +739,35 @@ _KIND_HANDLERS = {
 # ======================================================================
 def build_graph(graph, sim=None, seed=42, net_latency=0.0002, rto=3.0,
                 max_retransmits=3, streaming=False, rng_label="graph-app",
-                system_factory=None):
+                system_factory=None, hosts=None):
     """Build a live system from a :class:`ServiceGraph`.
 
     ``rng_label`` names the shared application RNG stream (the chain
     preset passes ``"chain-app"`` so existing seeds replay identically);
-    ``system_factory(sim, graph, fabric)`` substitutes a
-    :class:`GraphSystem` subclass.  Construction replays the historical
-    chain order exactly — fabric, system, app RNG fork, then per node
-    (declaration order) per replica: host, VM, server, remediation —
-    because golden byte-identity is keyed on it.
+    ``system_factory(sim, graph, fabric)`` substitutes another
+    :class:`ServiceSystem` (a :class:`GraphSystem` by default).
+    ``hosts`` maps replica display names to existing
+    :class:`~repro.cpu.host.Host` objects: that replica's VM joins the
+    given host instead of a new one (VM consolidation, Fig 2).
+
+    Construction order is part of the golden byte contract: fabric,
+    system, app RNG fork, then per node (declaration order) per replica
+    host, VM and server, then the client entry group, then the routes.
+    Hosts and VMs schedule no events and fork no RNG streams, so this
+    also replays the 3-tier order of every host before the first server.
     """
     if sim is not None and sim.seed != seed:
         raise ValueError(
             f"simulator seed {sim.seed!r} != seed {seed!r}; "
             "forked RNG streams would not be reproducible from the seed"
         )
+    hosts = dict(hosts or {})
+    unknown = sorted(
+        set(hosts) - {name for node in graph.nodes
+                      for name in node.replica_names}
+    )
+    if unknown:
+        raise ValueError(f"hosts keys name no replica of the graph: {unknown}")
     sim = sim or Simulator(seed=seed)
     fabric = NetworkFabric(sim, latency=net_latency, rto=rto,
                            max_retransmits=max_retransmits)
@@ -778,35 +782,15 @@ def build_graph(graph, sim=None, seed=42, net_latency=0.0002, rto=3.0,
         successors = graph.successors(node.name)
         factory = node.handler or _KIND_HANDLERS[node.kind]
         handler = factory(node, successors, rng)
-        replicas = []
+        built = []
         for name in node.replica_names:
-            host = Host(sim, cores=max(1, node.vcpus), name=f"{name}-host")
+            host = hosts.get(name)
+            if host is None:
+                host = Host(sim, cores=max(1, node.vcpus),
+                            name=f"{name}-host")
             vm = host.add_vm(f"{name}-vm", vcpus=node.vcpus)
-            if node.admission is not None:
-                # explicit admission override (e.g. CoDel AQM) composes
-                # with either driver through the policy runtime
-                concurrency = (
-                    ConcurrencySpec("threads", threads=node.threads)
-                    if node.sync else
-                    ConcurrencySpec("eventloop", workers=node.workers)
-                )
-                server = policy_server(
-                    sim, fabric, name, vm, handler,
-                    TierPolicy(admission=node.admission,
-                               concurrency=concurrency),
-                    backlog=node.backlog,
-                )
-            elif node.sync:
-                server = SyncServer(
-                    sim, fabric, name, vm, handler,
-                    threads=node.threads, backlog=node.backlog,
-                )
-            else:
-                server = AsyncServer(
-                    sim, fabric, name, vm, handler,
-                    lite_q_depth=node.lite_q_depth, workers=node.workers,
-                    backlog=node.backlog,
-                )
+            server = policy_server(sim, fabric, name, vm, handler,
+                                   node.policy, backlog=node.backlog)
             if node.kind == "cache":
                 server.cache = LruCache(
                     sim, node.cache_capacity, default_ttl=node.cache_ttl,
@@ -820,29 +804,27 @@ def build_graph(graph, sim=None, seed=42, net_latency=0.0002, rto=3.0,
                     name=f"{name}-store",
                 )
                 system.storages[name] = server.storage
-            if (node.remediation is not None
-                    and node.remediation.kind != "none"):
-                # rebind the outgoing-call invokers after construction:
-                # the preset classes fix admission/concurrency, but
-                # remediation composes with either driver
-                remediation = build_remediation(node.remediation)
-                remediation.bind(server)
-                server.remediation = remediation
-            system.hosts.append(host)
-            system.vms.append(vm)
-            system.servers.append(server)
-            replicas.append(server)
-        node_servers[node.name] = replicas
+            built.append((host, vm, server))
+        system._place(node, built)
+        node_servers[node.name] = [server for _h, _v, server in built]
 
-    def route_group(caller_label, target_node, listeners, pool_size):
+    def route_group(caller_label, target_node, pool_size):
         label = f"{caller_label}->{target_node.name}"
         group = ReplicaGroup(
-            sim, label, listeners,
+            sim, label,
+            [server.listener for server in node_servers[target_node.name]],
             balancer=target_node.balancer, hedging=target_node.hedging,
             pool_size=pool_size,
         )
         system.groups[label] = group
         return group
+
+    entry_node = graph.node(graph.entry)
+    if entry_node.replicas > 1:
+        system.client_group = route_group("clients", entry_node, None)
+        system.entry = system.client_group
+    else:
+        system.entry = node_servers[graph.entry][0].listener
 
     for edge in graph.edges:
         target_node = graph.node(edge.target)
@@ -851,21 +833,11 @@ def build_graph(graph, sim=None, seed=42, net_latency=0.0002, rto=3.0,
         for caller_name, caller in zip(caller_node.replica_names,
                                        node_servers[edge.source]):
             if len(targets) > 1:
-                caller.connect(
-                    edge.target,
-                    route_group(caller_name, target_node,
-                                [s.listener for s in targets],
-                                edge.pool),
-                )
+                caller.connect(edge.target,
+                               route_group(caller_name, target_node,
+                                           edge.pool))
             else:
                 caller.connect(
                     edge.target, targets[0].listener, pool_size=edge.pool,
                 )
-
-    entry_node = graph.node(graph.entry)
-    if entry_node.replicas > 1:
-        system.client_group = route_group(
-            "clients", entry_node,
-            [s.listener for s in node_servers[graph.entry]], None,
-        )
     return system

@@ -18,6 +18,7 @@ drivers and both request-log modes.
 import pytest
 
 from repro.servers.gather import GatherCall, _GatherLeg
+from repro.servers.policies import TierPolicy
 from repro.sim import Resource, Simulator
 from repro.topology.graph import NodeSpec, build_graph, fan_out
 
@@ -92,13 +93,16 @@ def test_cancel_pending_skips_done_and_unqueued_legs():
 # end-to-end: quorum gathers over pooled edges drain to zero occupancy
 # ----------------------------------------------------------------------
 def _run_pooled_quorum(sync_root, streaming, requests=60, spacing=0.02):
-    root = NodeSpec("root", sync=sync_root, threads=64, workers=2, quorum=2)
+    root = NodeSpec("root", quorum=2,
+                    policy=(TierPolicy.sync(threads=64) if sync_root
+                            else TierPolicy.asynchronous(workers=2)))
     # leaf3 is 10x slower than the arrival spacing: its pool=1 edge
     # backs up, so quorums met by leaf1+leaf2 cancel queued leaf3 legs
+    leaf = TierPolicy.sync(threads=2)
     leaves = [
-        NodeSpec("leaf1", threads=2, pre_work=0.002),
-        NodeSpec("leaf2", threads=2, pre_work=0.002),
-        NodeSpec("leaf3", threads=2, pre_work=0.2),
+        NodeSpec("leaf1", policy=leaf, pre_work=0.002),
+        NodeSpec("leaf2", policy=leaf, pre_work=0.002),
+        NodeSpec("leaf3", policy=leaf, pre_work=0.2),
     ]
     system = build_graph(fan_out(root, leaves, edge_pool=1), seed=42,
                          streaming=streaming)

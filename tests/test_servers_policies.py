@@ -105,6 +105,51 @@ def test_concurrency_and_remediation_spec_validation():
         RemediationSpec("bogus")
 
 
+@pytest.mark.parametrize("kind", ["threads", "eventloop"])
+@pytest.mark.parametrize("bad, match", [
+    (dict(threads=0), "threads must be >= 1"),
+    (dict(workers=0), "workers must be >= 1"),
+    (dict(pace_rate=0.0), "pace_rate must be positive"),
+    (dict(pace_rate=-5.0), "pace_rate must be positive"),
+])
+def test_concurrency_spec_rejects_bad_values_at_construction(kind, bad,
+                                                             match):
+    with pytest.raises(ValueError, match=match):
+        ConcurrencySpec(kind, **bad)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(timeout=0), "timeout must be > 0"),
+    (dict(timeout=-1.0), "timeout must be > 0"),
+    (dict(retries=-1), "retries must be >= 0"),
+    (dict(backoff=-0.1), "backoff must be >= 0"),
+])
+def test_remediation_spec_rejects_bad_values_at_construction(bad, match):
+    with pytest.raises(ValueError, match=match):
+        RemediationSpec("retry", **bad)
+
+
+def test_tier_policy_rejects_non_spec_members():
+    with pytest.raises(ValueError, match="concurrency must be an instance"):
+        TierPolicy(concurrency="threads")
+    with pytest.raises(ValueError, match="remediation must be an instance"):
+        TierPolicy(remediation=AdmissionSpec())
+
+
+def test_bad_policy_fails_before_any_build():
+    from repro.topology import SystemConfig
+
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        SystemConfig(app_policy=TierPolicy.sync(threads=0))
+    # the nx-selected preset values are validated by the config itself
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        SystemConfig(nx=3, xmysql_slots=0)
+    with pytest.raises(ValueError, match="pace_rate must be positive"):
+        SystemConfig(nx=2, xtomcat_pace_rate=0.0)
+    # an unused preset value is not the config's concern
+    assert SystemConfig(nx=0, xmysql_slots=0).xmysql_slots == 0
+
+
 def test_build_factories_map_kinds_to_classes():
     assert isinstance(build_admission(AdmissionSpec()), KernelBacklogAdmission)
     assert isinstance(

@@ -2,8 +2,18 @@
 
 import pytest
 
-from repro.servers import AsyncServer, SyncServer
-from repro.topology import SystemConfig, server_names
+from repro.servers.policies import (
+    AdmissionSpec,
+    ConcurrencySpec,
+    RemediationSpec,
+    TierPolicy,
+)
+from repro.topology import (
+    SystemConfig,
+    build_system,
+    server_names,
+    three_tier_graph,
+)
 
 from conftest import build_tiny_system
 
@@ -67,26 +77,37 @@ def test_server_names_follow_nx():
 # ----------------------------------------------------------------------
 # build_system
 # ----------------------------------------------------------------------
+# SyncServer is exactly backlog admission + a thread pool, AsyncServer
+# eager admission + an event loop (both with no remediation)
+SYNC = ("backlog", "threads", "none")
+ASYNC = ("eager", "eventloop", "none")
+
+
+def _shape(server):
+    return (server.admission.kind, server.concurrency.kind,
+            server.remediation.kind)
+
+
 def test_build_sync_stack_types():
     system = build_tiny_system(nx=0)
-    assert isinstance(system.servers["web"], SyncServer)
-    assert isinstance(system.servers["app"], SyncServer)
-    assert isinstance(system.servers["db"], SyncServer)
+    assert _shape(system.servers["web"]) == SYNC
+    assert _shape(system.servers["app"]) == SYNC
+    assert _shape(system.servers["db"]) == SYNC
 
 
 def test_build_async_stack_types():
     system = build_tiny_system(nx=3)
     assert all(
-        isinstance(system.servers[tier], AsyncServer)
+        _shape(system.servers[tier]) == ASYNC
         for tier in ("web", "app", "db")
     )
 
 
 def test_nx2_mixed_stack():
     system = build_tiny_system(nx=2)
-    assert isinstance(system.servers["web"], AsyncServer)
-    assert isinstance(system.servers["app"], AsyncServer)
-    assert isinstance(system.servers["db"], SyncServer)
+    assert _shape(system.servers["web"]) == ASYNC
+    assert _shape(system.servers["app"]) == ASYNC
+    assert _shape(system.servers["db"]) == SYNC
 
 
 def test_each_tier_gets_dedicated_host():
@@ -146,3 +167,212 @@ def test_attach_monitor_idempotent():
     second = system.attach_monitor()
     assert first is second
     assert set(first.cpu) == {"apache", "tomcat", "mysql"}
+
+
+# ----------------------------------------------------------------------
+# the 3-tier system as a service-graph preset
+# ----------------------------------------------------------------------
+def _policy_of(server):
+    """The TierPolicy spec that a built server's live policies realise."""
+    admission, concurrency = server.admission, server.concurrency
+    remediation = server.remediation
+    if concurrency.kind == "threads":
+        concurrency_spec = ConcurrencySpec(
+            "threads", threads=concurrency.threads,
+            spawn_extra_process=concurrency.spawn_extra_process,
+            spawn_after=concurrency.spawn_after,
+            max_processes=concurrency.max_processes,
+        )
+    else:
+        concurrency_spec = ConcurrencySpec(
+            "eventloop", workers=concurrency.workers,
+            pace_rate=concurrency.pace_rate,
+        )
+    if remediation.kind == "retry":
+        remediation_spec = RemediationSpec(
+            "retry", timeout=remediation.timeout,
+            retries=remediation.retries, backoff=remediation.backoff,
+            breaker_threshold=remediation.breaker_threshold,
+            breaker_reset=remediation.breaker_reset,
+        )
+    else:
+        remediation_spec = RemediationSpec()
+    return TierPolicy(
+        admission=AdmissionSpec(
+            admission.kind, depth=getattr(admission, "depth", None),
+            target=getattr(admission, "target", 0.05),
+            interval=getattr(admission, "interval", 0.1),
+        ),
+        concurrency=concurrency_spec,
+        remediation=remediation_spec,
+    )
+
+
+PRESET_CASES = {
+    "nx0": dict(nx=0),
+    "nx1": dict(nx=1),
+    "nx2": dict(nx=2, xtomcat_pace_rate=500.0),
+    "nx3": dict(nx=3),
+    "shedding": dict(nx=0, app_policy=TierPolicy.shedding(depth=16,
+                                                         threads=3)),
+    "codel": dict(nx=1, db_policy=TierPolicy.codel(depth=8, threads=2,
+                                                   target=0.02)),
+    "retry": dict(nx=2, web_policy=TierPolicy.asynchronous(
+        workers=2, remediation=RemediationSpec("retry", timeout=0.4,
+                                               retries=1),
+    )),
+}
+
+
+@pytest.mark.parametrize("case", PRESET_CASES)
+def test_built_servers_realise_the_tier_policy(case):
+    system = build_tiny_system(**PRESET_CASES[case])
+    for tier in ("web", "app", "db"):
+        assert _policy_of(system.servers[tier]) == (
+            system.config.tier_policy(tier)
+        )
+
+
+def test_nx_presets_carry_the_paper_stack_values():
+    apache = build_tiny_system(nx=0, web_spawn_extra_process=True)
+    assert apache.servers["web"].max_processes == 2
+    assert apache.servers["app"].max_processes == 1
+    paced = build_tiny_system(nx=2, xtomcat_pace_rate=500.0)
+    assert paced.servers["app"].pace_rate == 500.0
+    assert paced.servers["app"].workers == 8      # xtomcat_workers
+    assert build_tiny_system(nx=2).servers["app"].pace_rate is None
+
+
+@pytest.mark.parametrize("overrides, pooled", [
+    (dict(nx=0), True),
+    (dict(nx=1), True),
+    (dict(nx=2), False),
+    (dict(nx=3), False),
+    # a shedding front still blocks a thread per downstream query
+    (dict(nx=2, app_policy=TierPolicy.shedding(depth=16, threads=3)), True),
+    (dict(nx=0, app_policy=TierPolicy.asynchronous(workers=2)), False),
+])
+def test_app_to_db_pool_only_when_app_blocks(overrides, pooled):
+    system = build_tiny_system(**overrides)
+    assert ("db" in system.servers["app"].pools) == pooled
+
+
+def test_three_tier_graph_is_web_app_db():
+    graph = three_tier_graph(SystemConfig(nx=1), name_prefix="b-")
+    assert graph.topo_order() == ["web", "app", "db"]
+    assert [node.label for node in graph.nodes] == [
+        "b-nginx", "b-tomcat", "b-mysql",
+    ]
+    assert [(e.source, e.target, e.pool) for e in graph.edges] == [
+        ("web", "app", None), ("app", "db", 50),
+    ]
+
+
+def _replicated(**overrides):
+    from repro.servers.replica import HedgingSpec
+
+    defaults = dict(web_replicas=2, app_replicas=3, db_replicas=2,
+                    hedging=HedgingSpec())
+    defaults.update(overrides)
+    return build_tiny_system(**defaults)
+
+
+def test_replicated_names_and_tier_views():
+    system = _replicated()
+    assert system.replica_names == {
+        "web": ["apache1", "apache2"],
+        "app": ["tomcat1", "tomcat2", "tomcat3"],
+        "db": ["mysql1", "mysql2"],
+    }
+    assert system.names == {"web": "apache1", "app": "tomcat1",
+                            "db": "mysql1"}
+    for tier, names in system.replica_names.items():
+        assert [server.name for server in system.servers[tier]] == names
+        assert [vm.name for vm in system.vms[tier]] == [
+            f"{name}-vm" for name in names
+        ]
+        assert len({id(host) for host in system.hosts[tier]}) == len(names)
+    assert system.host_of("app", 2) is system.hosts["app"][2]
+    assert system.tier_groups() == list(system.replica_names.values())
+    assert system.tier_edges() == [(0, 1), (1, 2)]
+
+
+def test_replicated_route_groups_and_pools():
+    system = _replicated()
+    assert list(system.groups) == [
+        "clients->web",
+        "apache1->app", "apache2->app",
+        "tomcat1->db", "tomcat2->db", "tomcat3->db",
+    ]
+    assert system.entry is system.client_group
+    assert system.client_group is system.groups["clients->web"]
+    for index, web in enumerate(system.servers["web"]):
+        assert web.downstream["app"] is system.groups[f"apache{index + 1}->app"]
+    db_listeners = [server.listener for server in system.servers["db"]]
+    for label, group in system.groups.items():
+        if label.endswith("->db"):
+            # the JDBC pool is per replica inside the caller's group
+            assert [(pool.listener, pool.size) for pool in group.pools] == [
+                (listener, 4) for listener in db_listeners
+            ]
+        else:
+            assert group.pools is None
+        assert group.hedging is not None
+    assert all(app.pools == {} for app in system.servers["app"])
+
+
+def test_replicated_hedging_only_on_replicated_routes():
+    system = _replicated(db_replicas=1)
+    assert system.replica_names["db"] == ["mysql"]
+    assert list(system.groups) == [
+        "clients->web", "apache1->app", "apache2->app",
+    ]
+    assert all(group.hedging is not None for group in system.groups.values())
+    db_listener = system.servers["db"][0].listener
+    for app in system.servers["app"]:
+        # plain route into the single MySQL: pooled, not hedged
+        assert app.downstream["db"].listeners == [db_listener]
+        assert app.pools["db"].capacity == 4
+
+
+def test_replicated_monitor_registration_order():
+    system = _replicated()
+    calls = []
+
+    class Recorder:
+        def watch_vm(self, name, vm):
+            calls.append(("vm", name))
+
+        def watch_server(self, name, server):
+            calls.append(("server", name))
+
+        def watch_group(self, name, group):
+            calls.append(("group", name))
+
+    system._watch(Recorder())
+    replicas = [name for names in system.replica_names.values()
+                for name in names]
+    assert calls == (
+        [("vm", name) for name in replicas]
+        + [("server", name) for name in replicas]
+        + [("group", label) for label in system.groups]
+    )
+
+
+def test_host_overrides_with_replicas_still_raise():
+    steady = build_tiny_system()
+    with pytest.raises(ValueError, match="not supported with replicated"):
+        build_system(
+            SystemConfig(seed=7, app_replicas=2), sim=steady.sim,
+            host_overrides={"db": steady.hosts["app"]}, name_prefix="b-",
+        )
+
+
+def test_unknown_host_override_tier_is_rejected():
+    steady = build_tiny_system()
+    with pytest.raises(ValueError, match="'database'"):
+        build_system(
+            SystemConfig(seed=7), sim=steady.sim,
+            host_overrides={"database": steady.hosts["app"]},
+            name_prefix="b-",
+        )

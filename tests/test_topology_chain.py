@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.servers import AsyncServer, SyncServer
 from repro.topology import TierSpec, build_chain, uniform_chain
 from repro.units import ms
 
@@ -56,8 +55,10 @@ def test_build_chain_server_kinds():
     specs = tiny_specs(4)
     specs[1].sync = False
     system = build_chain(specs)
-    kinds = [type(server) for server in system.servers]
-    assert kinds == [SyncServer, AsyncServer, SyncServer, SyncServer]
+    kinds = [(server.admission.kind, server.concurrency.kind)
+             for server in system.servers]
+    sync, asyn = ("backlog", "threads"), ("eager", "eventloop")
+    assert kinds == [sync, asyn, sync, sync]
 
 
 def test_chain_wiring_is_linear():

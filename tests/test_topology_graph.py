@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.servers.policies import AdmissionSpec, TierPolicy
 from repro.topology.graph import (
     EdgeSpec,
     NodeSpec,
@@ -32,6 +33,48 @@ def test_empty_graph_rejected():
 def test_duplicate_node_names_rejected():
     with pytest.raises(ValueError, match="duplicate node names"):
         ServiceGraph([NodeSpec("a"), NodeSpec("a")])
+
+
+def test_colliding_replica_display_names_rejected():
+    # "a" with 2 replicas builds a1, a2: a node named a1 would share the
+    # server/a1 RNG stream, monitor series and lookups with replica a1
+    with pytest.raises(ValueError, match=r"duplicate replica display names \['a1'\]"):
+        ServiceGraph([NodeSpec("a", replicas=2), NodeSpec("a1")],
+                     [EdgeSpec("a", "a1")])
+    with pytest.raises(ValueError, match="duplicate replica display names"):
+        ServiceGraph([NodeSpec("a", label="x"), NodeSpec("b", label="x")],
+                     [EdgeSpec("a", "b")])
+
+
+def test_label_names_the_servers_and_name_keys_the_route():
+    graph = ServiceGraph(
+        [NodeSpec("a", label="front"), NodeSpec("b", label="back",
+                                                replicas=2)],
+        [EdgeSpec("a", "b")],
+    )
+    system = build_graph(graph, seed=42)
+    assert system.names == ["front", "back1", "back2"]
+    assert [server.name for server in system.servers] == system.names
+    assert list(system.groups) == ["front->b"]
+    assert system.server("front").downstream["b"] is system.groups["front->b"]
+
+
+def test_hosts_place_replicas_on_existing_machines():
+    from repro.cpu.host import Host
+    from repro.sim import Simulator
+
+    sim = Simulator(seed=42)
+    shared = Host(sim, name="shared")
+    graph = ServiceGraph([NodeSpec("a"), NodeSpec("b", replicas=2)],
+                         [EdgeSpec("a", "b")])
+    system = build_graph(graph, sim=sim, seed=42, hosts={"b2": shared})
+    assert system.host_of("b2") is shared
+    assert system.vm("b2").host is shared
+    assert system.host_of("b1") is not shared
+    assert [vm.name for vm in shared.vms] == ["b2-vm"]
+    with pytest.raises(ValueError, match="'b'"):
+        # hosts are keyed by replica display name, not node name
+        build_graph(graph, seed=42, hosts={"b": shared})
 
 
 def test_unknown_entry_rejected():
@@ -116,9 +159,11 @@ def test_edge_index_pairs_follow_topo_positions():
 # built systems: the gather runs on both servlet drivers
 # ----------------------------------------------------------------------
 def _run_fan_out(sync_root, quorum=None, seed=42, rate=60.0, until=4.0):
-    root = NodeSpec("root", sync=sync_root, threads=8, workers=2,
+    root = NodeSpec("root", policy=(TierPolicy.sync(threads=8) if sync_root
+                                    else TierPolicy.asynchronous(workers=2)),
                     quorum=quorum)
-    leaves = [NodeSpec(f"leaf{i + 1}", threads=4) for i in range(3)]
+    leaves = [NodeSpec(f"leaf{i + 1}", policy=TierPolicy.sync(threads=4))
+              for i in range(3)]
     system = build_graph(fan_out(root, leaves), seed=seed)
     system.open_loop(rate)
     system.sim.run(until=until)
@@ -189,10 +234,10 @@ def test_cache_node_with_two_successors_rejected():
 
 def _cache_graph(coalesce=False, keyspace=4, ttl=None, db_work=0.0):
     return ServiceGraph(
-        [NodeSpec("cache", sync=False, workers=2, kind="cache",
-                  cache_capacity=64, cache_ttl=ttl, keyspace=keyspace,
-                  coalesce=coalesce),
-         NodeSpec("db", threads=4, pre_work=db_work)],
+        [NodeSpec("cache", policy=TierPolicy.asynchronous(workers=2),
+                  kind="cache", cache_capacity=64, cache_ttl=ttl,
+                  keyspace=keyspace, coalesce=coalesce),
+         NodeSpec("db", policy=TierPolicy.sync(threads=4), pre_work=db_work)],
         [EdgeSpec("cache", "db")],
         entry="cache",
     )
@@ -239,8 +284,8 @@ def test_cache_ttl_forces_refetches():
 
 def test_built_storage_node_registers_and_serves():
     graph = ServiceGraph(
-        [NodeSpec("front", sync=False, workers=2),
-         NodeSpec("store", threads=16, kind="storage",
+        [NodeSpec("front", policy=TierPolicy.asynchronous(workers=2)),
+         NodeSpec("store", policy=TierPolicy.sync(threads=16), kind="storage",
                   storage_service_time=0.001, write_fraction=0.5,
                   write_buffer=32)],
         [EdgeSpec("front", "store")],
@@ -259,14 +304,12 @@ def test_built_storage_node_registers_and_serves():
 
 def test_admission_override_builds_a_policy_server():
     from repro.servers import CoDelAdmission
-    from repro.servers.policies import AdmissionSpec
     from repro.servers.runtime import PolicyServer
 
     graph = ServiceGraph(
-        [NodeSpec("front", sync=False, workers=2),
-         NodeSpec("db", threads=4,
-                  admission=AdmissionSpec("codel", depth=16,
-                                          target=0.02, interval=0.1))],
+        [NodeSpec("front", policy=TierPolicy.asynchronous(workers=2)),
+         NodeSpec("db", policy=TierPolicy.codel(depth=16, threads=4,
+                                                target=0.02, interval=0.1))],
         [EdgeSpec("front", "db")],
         entry="front",
     )
@@ -282,7 +325,9 @@ def test_admission_override_builds_a_policy_server():
 
 def test_admission_must_be_a_spec():
     with pytest.raises(ValueError, match="admission must be an"):
-        NodeSpec("n", admission="codel")
+        NodeSpec("n", policy=TierPolicy(admission="codel"))
+    with pytest.raises(ValueError, match="policy must be a TierPolicy"):
+        NodeSpec("n", policy=AdmissionSpec("codel", depth=4))
 
 
 @pytest.mark.parametrize("sync_root", [True, False])

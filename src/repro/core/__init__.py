@@ -1,10 +1,13 @@
 """The paper's primary contribution as a library.
 
-- millibottleneck detection from fine-grained utilization data,
-- CTQO detection and upstream/downstream classification,
+- the §V evaluation harness (scenarios and NX sweeps), whose
+  ``RunResult`` answers ``millibottlenecks()``, ``ctqo_events()`` and
+  ``attribution()`` through the one detector and CTQO engine in
+  :mod:`repro.metrics` (``detector`` and ``attribution``),
+- the automated post-mortem (``diagnose``),
 - multi-modal tail-latency statistics,
-- the §III static/dynamic condition models,
-- the §V evaluation harness (scenarios and NX sweeps).
+- the §III static/dynamic condition models and the steady-state
+  queueing model.
 """
 
 from .conditions import (
@@ -13,10 +16,8 @@ from .conditions import (
     minimum_millibottleneck_duration,
     predicted_overflow,
 )
-from .ctqo import CtqoAnalyzer, CtqoEvent, OverflowEpisode, TierDag
 from .diagnosis import Diagnosis, diagnose
 from .evaluation import GraphRunResult, RunResult, Scenario, nx_sweep
-from .millibottleneck import Millibottleneck, find_all, find_millibottlenecks
 from .queueing import SteadyStateModel, TierDemand, ps_response_time
 from .tail import (
     is_multimodal,
@@ -28,22 +29,15 @@ from .tail import (
 )
 
 __all__ = [
-    "CtqoAnalyzer",
-    "CtqoEvent",
     "Diagnosis",
     "GraphRunResult",
     "diagnose",
-    "Millibottleneck",
-    "OverflowEpisode",
     "RunResult",
     "Scenario",
     "StaticConditions",
     "SteadyStateModel",
-    "TierDag",
     "TierDemand",
     "ps_response_time",
-    "find_all",
-    "find_millibottlenecks",
     "is_multimodal",
     "max_sys_q_depth",
     "minimum_millibottleneck_duration",

@@ -46,7 +46,7 @@ def predicted_overflow(arrival_rate, duration, queue_bound, drain_rate=0.0):
     arrival_rate:
         Requests per second reaching the stalled server.
     duration:
-        Millibottleneck length in seconds.
+        Length of the millibottleneck in seconds.
     queue_bound:
         MaxSysQDepth of the server that fills up.
     drain_rate:

@@ -94,7 +94,7 @@ def build_replicated(config=None, replicas=2, sim=None):
 
 def run(replicas=2, clients=7000, duration=40.0, warmup=5.0,
         burst_times=(15.0, 25.0), seed=42, streaming=False):
-    """Millibottleneck on replica 1's host; measure where drops land."""
+    """A millibottleneck on replica 1's host; measure where drops land."""
     system = build_replicated(
         SystemConfig(nx=0, seed=seed, streaming=streaming),
         replicas=replicas,

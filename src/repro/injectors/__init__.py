@@ -1,4 +1,4 @@
-"""Millibottleneck injectors, one per resource class the paper names:
+"""Injectors of millibottlenecks, one per resource class the paper names:
 CPU (VM consolidation), disk I/O (log flushing), memory (GC pauses),
 and network (delivery jams)."""
 

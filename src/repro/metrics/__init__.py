@@ -1,10 +1,17 @@
 """Measurement: 50 ms samplers, request logs, time series, episode
 detection, CTQO attribution and trace exporters."""
 
-from .attribution import AttributionReport, CausalChain, CtqoAttributor
+from .attribution import (
+    AttributionReport,
+    CausalChain,
+    CtqoAttributor,
+    CtqoEvent,
+    TierDag,
+)
 from .detector import (
     Episode,
     cache_miss_episodes,
+    describe_millibottleneck,
     detect_millibottlenecks,
     overflow_episodes,
     saturation_episodes,
@@ -26,6 +33,7 @@ __all__ = [
     "AttributionReport",
     "CausalChain",
     "CtqoAttributor",
+    "CtqoEvent",
     "Episode",
     "LatencySketch",
     "RequestLog",
@@ -33,10 +41,12 @@ __all__ = [
     "Span",
     "StreamingStats",
     "SystemMonitor",
+    "TierDag",
     "TimeSeries",
     "VLRT_THRESHOLD",
     "cache_miss_episodes",
     "chrome_trace_to_json",
+    "describe_millibottleneck",
     "detect_millibottlenecks",
     "events_to_jsonl",
     "narrate",

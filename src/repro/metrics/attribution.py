@@ -17,20 +17,126 @@ fig01 RPC configuration is ≥ 90 %).
 
 Direction follows the paper's rule: a drop *upstream* of (closer to the
 clients than) the millibottleneck is upstream CTQO (blocking RPC holds
-the upstream threads); a drop at or downstream of it is downstream
-CTQO (an async tier floods a bounded downstream).  On a service graph
-the rule becomes an edge walk (see
-:class:`~repro.core.ctqo.TierDag`), adding a third direction —
-``lateral`` — for drops on a parallel branch of a fan-out, coupled to
-the millibottleneck only through the gather barrier.
+the upstream threads — Fig 3, Fig 5); a drop at or downstream of it is
+downstream CTQO (an async tier floods a bounded downstream — Fig 7,
+Fig 9).  On a service graph the rule becomes an edge walk
+(:class:`TierDag`), adding a third direction — ``lateral`` — for drops
+on a parallel branch of a fan-out, coupled to the millibottleneck only
+through the gather barrier.
+
+The same engine also groups a run's raw listener losses into
+:class:`CtqoEvent` incidents — one per (owning millibottleneck, server,
+cause) — which is what ``RunResult.ctqo_events()`` and the diagnosis
+report print.  Chains and events share the ownership and direction
+rule, so the two views of one run cannot disagree.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-__all__ = ["AttributionReport", "CausalChain", "CtqoAttributor"]
+from .detector import describe_millibottleneck
+
+__all__ = [
+    "AttributionReport",
+    "CausalChain",
+    "CtqoAttributor",
+    "CtqoEvent",
+    "TierDag",
+]
+
+
+class TierDag:
+    """Position and reachability index over tier groups plus edges.
+
+    ``tier_order`` entries are server names — or lists of replica names
+    sharing one position.  ``edges`` are (i, j) index pairs into that
+    order (a service graph's invocation edges); ``None`` means the
+    linear path ``0→1→…→n-1``, the classic chain.
+    """
+
+    def __init__(self, tier_order, edges=None):
+        self.tier_order = list(tier_order)
+        self.position = {}
+        for index, entry in enumerate(self.tier_order):
+            # an entry may be a list of replica names sharing one tier
+            # position (the replicated scale-out topology)
+            if isinstance(entry, (list, tuple)):
+                for name in entry:
+                    self.position[name] = index
+            else:
+                self.position[entry] = index
+        count = len(self.tier_order)
+        if edges is None:
+            edges = [(i, i + 1) for i in range(count - 1)]
+        self.edges = [tuple(edge) for edge in edges]
+        successors = {i: [] for i in range(count)}
+        for source, target in self.edges:
+            if not (0 <= source < count and 0 <= target < count):
+                raise ValueError(
+                    f"edge ({source}, {target}) outside tier order of "
+                    f"length {count}"
+                )
+            successors[source].append(target)
+        #: per position, the set of positions reachable along edges
+        self._descendants = []
+        for start in range(count):
+            seen = set()
+            frontier = [start]
+            while frontier:
+                node = frontier.pop()
+                for target in successors[node]:
+                    if target not in seen:
+                        seen.add(target)
+                        frontier.append(target)
+            self._descendants.append(seen)
+
+    def classify(self, origin_pos, drop_pos):
+        """Direction of a drop at ``drop_pos`` caused by a
+        millibottleneck at ``origin_pos``.
+
+        ``upstream`` when the dropping node invokes (transitively) the
+        millibottleneck's node — blocked callers hold its queues;
+        ``downstream`` at the node itself or anywhere it invokes — the
+        flood arrives from above; ``lateral`` on a parallel branch
+        reachable from neither (fan-out siblings coupled only through
+        a gather barrier).  On a path graph this is exactly the index
+        comparison of the linear rule.
+        """
+        if drop_pos == origin_pos:
+            return "downstream"
+        if origin_pos in self._descendants[drop_pos]:
+            return "upstream"
+        if drop_pos in self._descendants[origin_pos]:
+            return "downstream"
+        return "lateral"
+
+
+@dataclass
+class CtqoEvent:
+    """One classified cross-tier queue overflow incident: every packet
+    one server lost, the same way, to one millibottleneck."""
+
+    #: "upstream" / "downstream" / "lateral", "unknown-origin" for a
+    #: millibottleneck off the graph, "unattributed" when none owns it
+    direction: str
+    millibottleneck: object      # the owning Episode, or None
+    dropping_server: str         # where packets were lost
+    drops: int                   # packets lost there
+    drop_times: list = field(default_factory=list)
+    #: a silent TCP "drop" or an explicit 503 "shed" (as in CausalChain)
+    cause: str = "drop"
+
+    def __str__(self):
+        origin = self.millibottleneck
+        if origin is not None:
+            origin = describe_millibottleneck(origin)
+        lost = "sheds (503)" if self.cause == "shed" else "drops"
+        return (
+            f"{self.direction} CTQO: {origin} -> "
+            f"{self.drops} {lost} at {self.dropping_server}"
+        )
 
 
 @dataclass
@@ -44,7 +150,7 @@ class CausalChain:
     drop_time: object           # float, or None for a drop-free VLRT
     drop_site: object           # listener name, or None
     overflow: object            # detector Episode, or None
-    millibottleneck: object     # Millibottleneck/Episode, or None
+    millibottleneck: object     # detector Episode, or None
     direction: object           # "upstream" / "downstream" / None
     #: how the packet left the fast path: a silent TCP "drop" (the
     #: paper's mechanism) or an explicit 503 "shed" by a load-shedding
@@ -198,7 +304,8 @@ class AttributionReport:
 
 
 class CtqoAttributor:
-    """Builds per-request causal chains from a log and detector output.
+    """Builds per-request causal chains (:meth:`attribute`) and
+    per-incident CTQO events (:meth:`ctqo_events`) from detector output.
 
     Parameters
     ----------
@@ -231,10 +338,6 @@ class CtqoAttributor:
 
     def __init__(self, tier_order, vm_of=None, window=1.0, tolerance=0.06,
                  edges=None):
-        # imported here: repro.core pulls in the evaluation harness,
-        # which imports this metrics package back
-        from ..core.ctqo import TierDag
-
         self._dag = TierDag(tier_order, edges=edges)
         self.tier_order = self._dag.tier_order
         self._position = self._dag.position
@@ -269,21 +372,19 @@ class CtqoAttributor:
         ``overflow_by_server`` maps server name to its overflow
         :class:`~repro.metrics.detector.Episode` list;
         ``millibottlenecks`` is any list of episodes with ``resource`` /
-        ``kind`` / ``start`` / ``end`` fields (the core detector's
-        ``Millibottleneck`` or this package's ``Episode``).
+        ``kind`` / ``start`` / ``end`` fields.
         """
         tail = {id(r): r for r in log.vlrt(vlrt_threshold)}
         for record in log.dropped_requests():
             tail.setdefault(id(record), record)
-        if hasattr(log, "shed_requests"):
-            for record in log.shed_requests():
-                tail.setdefault(id(record), record)
+        for record in log.shed_requests():
+            tail.setdefault(id(record), record)
         chains = []
         for record in sorted(tail.values(), key=lambda r: r.start):
             cause = "drop"
             if record.drops:
                 drop_time, drop_site = record.drops[0]
-            elif getattr(record, "sheds", None):
+            elif record.sheds:
                 # no silent drop, but an explicit 503 from a bounded
                 # admission — same causal walk, different fault kind
                 drop_time, drop_site = record.sheds[0]
@@ -321,6 +422,53 @@ class CtqoAttributor:
             )
         return AttributionReport(chains, self.tier_order)
 
+    def ctqo_events(self, millibottlenecks, drops_by_server,
+                    sheds_by_server=None):
+        """Group raw listener losses into classified :class:`CtqoEvent`
+        incidents.
+
+        ``drops_by_server`` / ``sheds_by_server`` map server name to the
+        instants its listener dropped / 503'd a packet (each listener's
+        ``drop_log`` / ``shed_log``).  Every loss joins the event of its
+        owning millibottleneck (the rule :meth:`attribute` uses) and
+        server; an owner on a VM outside the graph gives direction
+        ``"unknown-origin"``.  Losses no episode owns form one
+        ``"unattributed"`` event per server.  Events are sorted by
+        their first loss.
+        """
+        events = []
+        for cause, by_server in (("drop", drops_by_server),
+                                 ("shed", sheds_by_server or {})):
+            index = {}
+            unattributed = {}
+            for server, times in by_server.items():
+                for when in times:
+                    owner = self._owning_millibottleneck(
+                        millibottlenecks, when
+                    )
+                    if owner is None:
+                        unattributed.setdefault(server, []).append(when)
+                        continue
+                    event = index.get((id(owner), server))
+                    if event is None:
+                        direction = self.classify_direction(
+                            owner.resource, server
+                        )
+                        event = index[(id(owner), server)] = CtqoEvent(
+                            direction or "unknown-origin", owner, server,
+                            0, cause=cause,
+                        )
+                        events.append(event)
+                    event.drops += 1
+                    event.drop_times.append(when)
+            for server, times in sorted(unattributed.items()):
+                events.append(CtqoEvent("unattributed", None, server,
+                                        len(times), times, cause=cause))
+        events.sort(
+            key=lambda e: e.drop_times[0] if e.drop_times else float("inf")
+        )
+        return events
+
     # ------------------------------------------------------------------
     def _covering_episode(self, episodes, when):
         """The overflow episode containing ``when`` (± tolerance)."""
@@ -332,10 +480,14 @@ class CtqoAttributor:
         return best
 
     def _owning_millibottleneck(self, millibottlenecks, when):
-        """Same ownership rule as the core CTQO analyzer: prefer the
-        earliest-starting episode active at ``when`` (secondary
-        saturations start later than their root cause); otherwise the
-        most recently ended episode within ``window``."""
+        """The root cause of a loss at ``when``.
+
+        Prefer an episode *active* at ``when``; among several (a
+        secondary saturation nested inside its root cause), the one
+        that began first — secondary saturations start later than the
+        millibottleneck that caused them.  If nothing is active, fall
+        back to the most recently ended episode within ``window``
+        (queues keep overflowing briefly while they drain)."""
         active = None
         for episode in millibottlenecks:
             if episode.start <= when < episode.end:

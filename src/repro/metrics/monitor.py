@@ -52,7 +52,7 @@ class SystemMonitor:
         monitor.watch_server("apache", apache_server)
         monitor.start()
         sim.run(until=60)
-        monitor.cpu["tomcat"].intervals_above(0.95)
+        saturation_episodes(monitor.cpu["tomcat"], 0.95)
     """
 
     def __init__(self, sim, interval=0.05):

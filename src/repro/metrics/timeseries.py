@@ -56,27 +56,6 @@ class TimeSeries:
             return None
         return self.values[index]
 
-    def intervals_above(self, threshold, min_duration=0.0):
-        """Contiguous [start, end) spans where the value exceeds
-        ``threshold`` — millibottleneck detection uses this.
-
-        A span's end is the first sample back at/below the threshold
-        (or the last sample time for a span still open at the end).
-        """
-        spans = []
-        start = None
-        for time, value in zip(self.times, self.values):
-            if value > threshold:
-                if start is None:
-                    start = time
-            elif start is not None:
-                if time - start >= min_duration:
-                    spans.append((start, time))
-                start = None
-        if start is not None and self.times and self.times[-1] - start >= min_duration:
-            spans.append((start, self.times[-1]))
-        return spans
-
     def slice(self, start, end):
         """New TimeSeries restricted to ``start <= t < end``."""
         out = TimeSeries(self.name)

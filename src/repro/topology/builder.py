@@ -2,7 +2,7 @@
 
 The standard RUBBoS 1/1/1 topology: one web server, one application
 server, one database server, each on its own VM on its own physical
-host (Fig 13).  Millibottleneck injectors later consolidate an
+host (Fig 13).  The millibottleneck injectors later consolidate an
 antagonist VM onto one of these hosts (Fig 2) or freeze a VM's disk.
 
 The system is a preset over the service-graph core:

@@ -1,8 +1,9 @@
-"""Unit tests for TimeSeries (repro.metrics.timeseries)."""
+"""Unit tests for TimeSeries (repro.metrics.timeseries), and the span
+convention of segmenting one (saturation_episodes)."""
 
 import pytest
 
-from repro.metrics import TimeSeries
+from repro.metrics import TimeSeries, saturation_episodes
 
 
 def make(pairs):
@@ -52,21 +53,29 @@ def test_value_at_stairstep():
     assert ts.value_at(9.9) == 30
 
 
+def spans_above(ts, threshold, min_duration=0.0):
+    """[start, end) spans where the value exceeds ``threshold``."""
+    return [(e.start, e.end) for e in
+            saturation_episodes(ts, threshold, min_duration=min_duration)]
+
+
 def test_intervals_above_basic():
+    # a span ends at the first sample back at/below the threshold
     ts = make([(0.0, 0.1), (1.0, 0.99), (2.0, 0.98), (3.0, 0.2), (4.0, 0.97),
                (5.0, 0.1)])
-    assert ts.intervals_above(0.95) == [(1.0, 3.0), (4.0, 5.0)]
+    assert spans_above(ts, 0.95) == [(1.0, 3.0), (4.0, 5.0)]
 
 
 def test_intervals_above_min_duration_filters_blips():
     ts = make([(0.0, 0.1), (1.0, 0.99), (1.05, 0.1), (2.0, 0.99), (2.5, 0.99),
                (3.0, 0.1)])
-    assert ts.intervals_above(0.95, min_duration=0.5) == [(2.0, 3.0)]
+    assert spans_above(ts, 0.95, min_duration=0.5) == [(2.0, 3.0)]
 
 
 def test_intervals_above_open_at_end():
+    # a span still open at the end closes at the last sample time
     ts = make([(0.0, 0.1), (1.0, 0.99), (2.0, 0.99)])
-    assert ts.intervals_above(0.95) == [(1.0, 2.0)]
+    assert spans_above(ts, 0.95) == [(1.0, 2.0)]
 
 
 def test_slice():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.conditions import predicted_overflow
 from repro.core.tail import multimodal_clusters, percentiles
 from repro.cpu import Host
-from repro.metrics import LatencySketch, TimeSeries
+from repro.metrics import LatencySketch, TimeSeries, saturation_episodes
 from repro.sim import Resource, Simulator, Store
 
 
@@ -327,7 +327,8 @@ def test_intervals_above_are_sorted_disjoint_in_range(pairs, threshold):
     ts = TimeSeries("x")
     for t, v in pairs:
         ts.append(t, v)
-    spans = ts.intervals_above(threshold)
+    spans = [(e.start, e.end)
+             for e in saturation_episodes(ts, threshold, min_duration=0.0)]
     t_min, t_max = pairs[0][0], pairs[-1][0]
     previous_end = -math.inf
     for start, end in spans:

@@ -173,10 +173,10 @@ def test_pair_reproduces_emergent_upstream_ctqo():
     # SysBursty's MySQL idles between episodes
     assert monitor.host_cpu["sysbursty-mysql"].mean() < 0.3
     # and the episodes themselves appear as detected millibottlenecks
-    from repro.core.millibottleneck import find_all
+    from repro.metrics import detect_millibottlenecks
 
     episodes = [
-        e for e in find_all(monitor, min_duration=0.2)
+        e for e in detect_millibottlenecks(monitor, min_duration=0.2)
         if e.resource == "sysbursty-mysql"
     ]
     assert episodes, "no millibottlenecks detected at SysBursty-MySQL"

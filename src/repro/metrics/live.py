@@ -43,6 +43,7 @@ import json
 import time as _time
 from dataclasses import dataclass
 
+from .detector import overflow_gauge
 from .online import OnlineEpisodeDetector
 from .window import LatencyWindows
 
@@ -158,11 +159,9 @@ class LiveTelemetry:
             server.latency_observer = self._tier_observer(name)
         self.detector = OnlineEpisodeDetector(monitor)
         for name, server in system.server_items():
-            backlog = monitor.backlog.get(name)
-            if backlog is not None:
-                self.detector.watch_overflow(
-                    name, backlog, server.listener.backlog
-                )
+            self.detector.watch_overflow(
+                name, *overflow_gauge(monitor, name, server)
+            )
         monitor.listeners.append(self._on_sample)
         self._next_beat = self.sim.now + self.interval
         self._last_sim_time = self.sim.now

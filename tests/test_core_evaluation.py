@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import Scenario, nx_sweep
+from repro.metrics.detector import overflow_episodes, overflow_gauge
+from repro.metrics.live import LiveConfig
 from repro.topology import SystemConfig
 
 from conftest import tiny_mix
@@ -131,6 +133,32 @@ def test_ctqo_events_classified_from_run():
     upstream = [e for e in events if e.direction == "upstream"]
     assert upstream, f"no upstream CTQO events in {events}"
     assert upstream[0].dropping_server == "apache"
+
+
+@pytest.mark.parametrize("live", [None, LiveConfig()])
+def test_zero_length_accept_queue_is_analysed(live):
+    # a listener may have backlog=0: there is no accept queue to
+    # segment, so the overflow gauge falls back to the whole-server
+    # MaxSysQDepth series, in the attribution and in live mode alike
+    result = (
+        Scenario(tiny_config(web_backlog=0), clients=60, think_mean=1.0,
+                 duration=10.0, warmup=2.0, live=live)
+        .with_consolidation("app", times=[4.0, 7.0], burst_cpu=2.0,
+                            burst_jobs=40, shares=200.0)
+        .run()
+    )
+    monitor = result.monitor
+    server = dict(result.system.server_items())["apache"]
+    series, capacity = overflow_gauge(monitor, "apache", server)
+    assert series is monitor.queues["apache"]
+    assert capacity == server.max_sys_q_depth
+    assert result.drops["apache"] > 0
+    report = result.attribution()
+    assert report.chains and report.coverage == 1.0
+    assert set(report.drop_sites()) == {"apache"}
+    if live is not None:
+        assert result.telemetry.detector.overflow()["apache"] == \
+            overflow_episodes(series, capacity, name="apache")
 
 
 def test_nx_sweep_runs_all_levels():

@@ -17,6 +17,7 @@ buffering in every tier's lightweight queue and zero drops (Fig 11).
 
 from repro.core import Scenario
 from repro.experiments.report import ascii_timeline
+from repro.metrics import describe_millibottleneck
 from repro.topology import SystemConfig
 
 
@@ -47,7 +48,7 @@ def main():
     print("millibottlenecks detected from the monitoring data:")
     for episode in sync_result.millibottlenecks():
         if episode.kind == "io":
-            print(f"  {episode}")
+            print(f"  {describe_millibottleneck(episode)}")
 
     print("\n=== asynchronous stack: same freezes, no CTQO ===\n")
     async_result = run(nx=3)

@@ -1,12 +1,11 @@
 """CPU substrate: processor-sharing hosts, VMs, and overhead models."""
 
-from .host import Host, Job, Vm
+from .host import Host, Vm
 from .overhead import EfficiencyModel, PerfectEfficiency, ThreadOverheadModel
 
 __all__ = [
     "EfficiencyModel",
     "Host",
-    "Job",
     "PerfectEfficiency",
     "ThreadOverheadModel",
     "Vm",

@@ -137,6 +137,29 @@ def test_shares_weight_allocation(sim):
     assert done["b"] == pytest.approx(1.5)
 
 
+def test_shares_change_applies_at_the_next_replan(sim):
+    host = Host(sim, cores=1)
+    a = host.add_vm("a")
+    b = host.add_vm("b")
+    done = {}
+    a.execute(1.0).add_callback(lambda ev: done.setdefault("a", sim.now))
+    b.execute(1.0).add_callback(lambda ev: done.setdefault("b", sim.now))
+
+    def reweight():
+        yield 0.5
+        with pytest.raises(ValueError):
+            a.shares = 0.0
+        a.shares = 3.0
+        host.settle()
+
+    sim.process(reweight())
+    sim.run()
+    # 0.25 each by t=0.5; then a gets 0.75 cores and finishes its 0.75 at
+    # t=1.5, when b (0.5 done) has 0.5 left alone -> t=2.0
+    assert done["a"] == pytest.approx(1.5)
+    assert done["b"] == pytest.approx(2.0)
+
+
 def test_idle_vm_leaves_capacity_to_the_other(sim):
     host = Host(sim, cores=1)
     a = host.add_vm("a")

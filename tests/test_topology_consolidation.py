@@ -65,6 +65,15 @@ def test_pair_rejects_unknown_tier():
         build_consolidated_pair(shared_tier="cache")
 
 
+@pytest.mark.parametrize("shares", [0.0, -5.0])
+def test_pair_rejects_non_positive_db_shares(shares):
+    # validated like Vm(shares=...), at build time rather than as a
+    # ZeroDivisionError (or a negative water-fill weight) mid-run
+    with pytest.raises(ValueError, match="shares must be positive"):
+        build_consolidated_pair(SystemConfig(seed=3),
+                                bursty_db_shares=shares)
+
+
 def test_sysbursty_mix_is_db_heavy():
     (spec,) = sysbursty_mix(stochastic=False)
     assert spec.total_db_work() > spec.total_app_work()

@@ -11,7 +11,11 @@ under ``tracemalloc`` and asserts:
 - peak traced memory stays under the budget — the whole point of the
   streaming log is that metric memory is O(occupied sketch buckets),
   not O(requests), so the peak is set by in-flight simulation state
-  and the 50 ms monitor series, both independent of request count.
+  and the 50 ms monitor series, both independent of request count;
+- the run leaves no cyclic garbage: a ``gc.collect()`` right after it
+  finds no unreachable object.  The simulator pauses the cyclic
+  collector while events dispatch, so a reference cycle on the hot
+  path would hold every finished request in memory until the run ends.
 
 ``--live`` runs the same workload with the online observability layer
 on (windowed latency sketches, incremental episode detection, budgeted
@@ -27,6 +31,7 @@ Usage::
 """
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -69,9 +74,11 @@ def main(argv=None):
                              "budgeted trace sampling)")
     args = parser.parse_args(argv)
 
+    gc.collect()
     started = time.time()
     tracemalloc.start()
     result = run_streaming(args.requests, args.rate, live=args.live)
+    unreachable = gc.collect()
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     wall = time.time() - started
@@ -84,7 +91,8 @@ def main(argv=None):
     print(f"{mode} smoke: {len(log):,} requests in {wall:.1f} s "
           f"({len(log) / wall:,.0f} req/s wall), {retained:,} exact "
           f"records retained, peak {peak_mb:.1f} MiB "
-          f"(budget {args.budget_mb:.0f} MiB)")
+          f"(budget {args.budget_mb:.0f} MiB), {unreachable:,} objects "
+          f"of cyclic garbage")
 
     failures = []
     if len(log) != args.requests:
@@ -95,6 +103,9 @@ def main(argv=None):
     if peak_mb > args.budget_mb:
         failures.append(f"peak memory {peak_mb:.1f} MiB exceeds the "
                         f"{args.budget_mb:.0f} MiB budget")
+    if unreachable:
+        failures.append(f"the run left {unreachable} unreachable objects "
+                        "in reference cycles")
     if args.live:
         telemetry = result.telemetry
         if telemetry is None or not telemetry.heartbeats:

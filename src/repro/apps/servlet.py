@@ -269,9 +269,14 @@ class Request:
     """A request travelling through the system.
 
     The client creates a *root* request; each :class:`Call` spawns a
-    child request pointing back at the same root, so analysis can
-    attribute every packet drop anywhere in the tree to one client
-    request.
+    child request whose :meth:`record` appends to the root's trace, so
+    analysis can attribute every packet drop anywhere in the tree to
+    one client request.
+
+    A request holds no reference to itself, directly or through its
+    children: a child reaches the root's trace through the trace list,
+    not the root object, so a finished request tree is freed by
+    reference counting without waiting for the cyclic collector.
     """
 
     __slots__ = (
@@ -281,8 +286,8 @@ class Request:
         "work_hint",
         "created_at",
         "parent",
-        "root",
         "trace",
+        "_root_trace",
     )
 
     def __init__(self, kind, operation, created_at, work_hint=None, parent=None):
@@ -292,9 +297,19 @@ class Request:
         self.work_hint = work_hint
         self.created_at = created_at
         self.parent = parent
-        self.root = parent.root if parent is not None else self
-        #: (time, event, detail) tuples appended by servers and fabric.
+        #: (time, event, detail) tuples appended by servers and fabric;
+        #: only a root request's list fills up.
         self.trace = []
+        self._root_trace = (parent._root_trace if parent is not None
+                            else self.trace)
+
+    @property
+    def root(self):
+        """The client's request at the top of this request's tree."""
+        request = self
+        while request.parent is not None:
+            request = request.parent
+        return request
 
     def child(self, operation, created_at, work_hint=None):
         """Create the sub-request for a downstream :class:`Call`."""
@@ -303,7 +318,7 @@ class Request:
         )
 
     def record(self, time, event, detail=None):
-        self.root.trace.append((time, event, detail))
+        self._root_trace.append((time, event, detail))
 
     def __repr__(self):
         return f"<Request #{self.id} {self.kind}:{self.operation}>"

@@ -342,9 +342,9 @@ def bench_far_timer_churn(scale=1.0):
     Pairs every near callback with a timer landing several windows in
     the future — the shape of RTO and hedge timers under load — so the
     calendar queue's overflow heap, rollover redistribution and
-    idle-jump machinery all run.  The heap kernel treats near and far
+    idle-jump machinery all run.  A binary heap treats near and far
     timers identically, so comparing this against ``wheel_schedule``
-    reads the overflow overhead in isolation.
+    reads the calendar's overflow overhead in isolation.
     """
     count = _scaled(60_000, scale)
     sim = Simulator(seed=1)

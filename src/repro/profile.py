@@ -18,18 +18,48 @@ Targets
 The profiled function call is the *workload only*: parser setup,
 registry imports and report rendering stay outside the capture, so the
 table reads as "where does the simulation itself spend time".
+
+Under the table one line reports the cyclic garbage collector's
+collections per generation and the seconds spent in them during the
+target, measured through :data:`gc.callbacks`.  cProfile cannot show
+that time: a collection runs inside whichever call happened to
+allocate, and its cost is charged to that frame.
 """
 
 from __future__ import annotations
 
 import cProfile
+import gc
 import pstats
 import sys
+import time
 
 __all__ = ["add_arguments", "list_targets", "main", "run_cli"]
 
 #: default number of rows in the printed hot-function table
 DEFAULT_TOP = 25
+
+
+class _CollectorWatch:
+    """A :data:`gc.callbacks` hook counting collections per generation
+    and the seconds spent in them."""
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.collections[info["generation"]] += 1
+            self.seconds += time.perf_counter() - self._started
+
+    def summary(self):
+        counts = "/".join(map(str, self.collections))
+        return (f"cyclic garbage collector: {counts} collections "
+                f"(generation 0/1/2), {self.seconds:.3f} s")
 
 
 def _bench_targets():
@@ -130,16 +160,20 @@ def run_cli(args):
 
     print(f"profiling {described} ...", flush=True)
     profiler = cProfile.Profile()
+    collector = _CollectorWatch()
+    gc.callbacks.append(collector)
     profiler.enable()
     try:
         target()
     finally:
         profiler.disable()
+        gc.callbacks.remove(collector)
 
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort)
     print()
     stats.print_stats(args.top)
+    print(collector.summary())
     if args.out:
         profiler.dump_stats(args.out)
         print(f"[raw profile written to {args.out}; open with "

@@ -449,6 +449,11 @@ class BaseServer:
                 self.stats.completed += 1
                 break
             except ServletError as exc:
+                # the re-raised error's traceback holds this frame: drop
+                # the frame's references to it (and to the failed event
+                # holding it) so the frame, the error and the request
+                # are freed by reference counting, not the collector
+                to_throw = outcome = None
                 request.record(sim.now, "error", f"{name}: {exc}")
                 exchange.reply(Response.failure(str(exc)))
                 self.stats.failed += 1

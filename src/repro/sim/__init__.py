@@ -18,7 +18,7 @@ from .errors import (
 )
 from .events import AllOf, AnyOf, Event, Grant, SlimEvent, Timeout
 from .instrument import EventBus, EventRecorder
-from .kernel import HeapSimulator, Simulator
+from .kernel import Simulator
 from .process import Process
 from .resources import Gauge, Resource, Store
 from .tracing import KernelTracer
@@ -31,7 +31,6 @@ __all__ = [
     "EventRecorder",
     "Gauge",
     "Grant",
-    "HeapSimulator",
     "KernelTracer",
     "Process",
     "ProcessInterrupt",

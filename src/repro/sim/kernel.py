@@ -1,15 +1,15 @@
 """The discrete-event simulation kernel.
 
-Two schedulers share one contract — a priority queue of
-``(time, key, callback, args)`` entries, where ``key`` folds the
-scheduling priority and a monotonically increasing sequence number into
-a single integer (``priority * 2**52 + sequence``).  Ties at the same
-instant therefore break on priority first, then insertion order, and the
-deterministic tie-break makes every experiment in this repository
-reproducible bit-for-bit from its seed.
+The kernel is a priority queue of ``(time, key, callback, args)``
+entries, where ``key`` folds the scheduling priority and a
+monotonically increasing sequence number into a single integer
+(``priority * 2**52 + sequence``).  Ties at the same instant therefore
+break on priority first, then insertion order, and the deterministic
+tie-break makes every experiment in this repository reproducible
+bit-for-bit from its seed.
 
-:class:`Simulator` (the default) is a **calendar queue**: a flat window
-of ``wheel_buckets`` time buckets of ``bucket_width`` seconds each.
+:class:`Simulator` is a **calendar queue**: a flat window of
+``wheel_buckets`` time buckets of ``bucket_width`` seconds each.
 Near-future events are appended to their bucket in O(1); only the bucket
 currently being drained is heap-ordered (heapified once, when the cursor
 reaches it).  Events beyond the window land in an *overflow* binary heap
@@ -23,11 +23,17 @@ order is identical to a single global heap because
 - within a bucket, entries pop in exact ``(time, key)`` order via the
   same tuple comparison the old global heap used.
 
-:class:`HeapSimulator` preserves the previous single-binary-heap
-scheduler, byte-for-byte; the equivalence suite replays experiments
-under both and diffs the records.  Set ``REPRO_KERNEL=heap`` in the
-environment to make ``Simulator(...)`` build the heap variant (used for
-A/B benchmarking and the golden-replay tests).
+The previous single-binary-heap scheduler survives only as the
+reference kernel of the test suite (``tests/reference_kernel.py``);
+the equivalence tests replay schedules and experiments under both and
+diff the records.
+
+:meth:`Simulator.run` pauses Python's cyclic garbage collector for the
+whole dispatch loop.  The hot path creates no reference cycles — a
+finished request tree, process or failed call is freed by reference
+counting the moment it is done — so every collection inside the loop
+would find nothing and only cost time (docs/PERF.md, "Memory and the
+cyclic collector").
 
 Time is a float measured in **seconds** of simulated time.  All latencies
 in the paper are quoted in milliseconds; helpers in
@@ -36,15 +42,15 @@ in the paper are quoted in milliseconds; helpers in
 
 from __future__ import annotations
 
+import gc
 import heapq
-import os
 import random
 
 from .errors import SimulationDeadlock
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 
-__all__ = ["HeapSimulator", "Simulator"]
+__all__ = ["Simulator"]
 
 # bound once at import: the scheduling fast path runs millions of times
 # per experiment, and the attribute lookups dominate its cost
@@ -55,9 +61,6 @@ _heapify = heapq.heapify
 # Priority occupies the high bits of the heap tie-break key; 2**52
 # sequence numbers (~4.5e15 events) fit below it without collision.
 _PRIORITY_STRIDE = 1 << 52
-
-#: environment variable selecting the scheduler built by ``Simulator()``
-KERNEL_ENV = "REPRO_KERNEL"
 
 # Default calendar geometry: 4096 buckets of 2**-9 s (~2 ms) give an
 # 8 s window.  Service/network events (sub-millisecond..millisecond) and
@@ -100,17 +103,6 @@ class Simulator:
     >>> hits
     ['one', 'two']
     """
-
-    def __new__(cls, *args, **kwargs):
-        if cls is Simulator:
-            choice = os.environ.get(KERNEL_ENV)
-            if choice == "heap":
-                cls = HeapSimulator
-            elif choice not in (None, "", "wheel"):
-                raise ValueError(
-                    f"{KERNEL_ENV}={choice!r}: expected 'wheel' or 'heap'"
-                )
-        return object.__new__(cls)
 
     def __init__(self, seed=0, bus=None, bucket_width=None,
                  wheel_buckets=None):
@@ -384,10 +376,35 @@ class Simulator:
         the end of the run so samplers and tests see a well-defined final
         clock.  With ``error_on_starvation`` a premature empty kernel
         raises :class:`SimulationDeadlock` instead of silently ending.
+
+        The cyclic garbage collector is paused while events dispatch
+        (the hot path leaves no cycles for it to find; see the module
+        docstring) and re-enabled afterwards only if it was enabled
+        before, so nested runs and callbacks that raise leave the
+        interpreter as they found it.
         """
         self._stopped = False
         if until is not None and until < self.now:
             raise ValueError(f"until={until} is in the past (now={self.now})")
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            exhausted = self._dispatch(until)
+            if until is not None and not self._stopped:
+                if exhausted and error_on_starvation:
+                    raise SimulationDeadlock(
+                        f"event heap empty at t={self.now}, "
+                        f"target was {until}"
+                    )
+                self.now = max(self.now, until)
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _dispatch(self, until):
+        """The event loop of :meth:`run`: execute callbacks until the
+        kernel is stopped, empty or past ``until``.  Returns whether it
+        ended because no events remained."""
         # the dispatch loop is inlined (rather than calling step()) so
         # each of the millions of events per run costs one bucket pop +
         # one call; an instance-level step override (e.g. KernelTracer)
@@ -443,12 +460,7 @@ class Simulator:
                     callback(*args)
                     if self._stopped:
                         break
-        if until is not None and not self._stopped:
-            if exhausted and error_on_starvation:
-                raise SimulationDeadlock(
-                    f"event heap empty at t={self.now}, target was {until}"
-                )
-            self.now = max(self.now, until)
+        return exhausted
 
     def stop(self):
         """Stop the current :meth:`run` after the executing callback."""
@@ -464,108 +476,3 @@ class Simulator:
             f"<{type(self).__name__} t={self.now:.6f} "
             f"pending={self.pending} executed={self.executed_events}>"
         )
-
-
-class HeapSimulator(Simulator):
-    """The previous kernel: one global binary heap of event entries.
-
-    Scheduling semantics (pop order, tie-breaks, error messages) are
-    identical to :class:`Simulator`; only the container differs —
-    O(log n) push/pop on a single heap versus the calendar's O(1)
-    bucket appends.  Kept as the reference implementation for the
-    scheduler-equivalence suite and for A/B benchmarking
-    (``REPRO_KERNEL=heap``).
-    """
-
-    def __init__(self, seed=0, bus=None):
-        # a 1-bucket zero-cost calendar keeps attribute shape identical;
-        # the heap methods below never touch it
-        super().__init__(seed=seed, bus=bus, bucket_width=1.0,
-                         wheel_buckets=1)
-        self._heap = []
-
-    # -- scheduling ----------------------------------------------------
-    def call_at(self, when, callback, *args, priority=0):
-        if when < self.now:
-            raise self._scheduling_error(f"at t={when} (in the past)")
-        self._sequence = sequence = self._sequence + 1
-        if priority:
-            sequence += priority * _PRIORITY_STRIDE
-        _heappush(self._heap, (when, sequence, callback, args))
-
-    def call_in(self, delay, callback, *args, priority=0):
-        if delay < 0:
-            raise self._scheduling_error(f"a negative delay ({delay!r})")
-        self._sequence = sequence = self._sequence + 1
-        if priority:
-            sequence += priority * _PRIORITY_STRIDE
-        _heappush(self._heap, (self.now + delay, sequence, callback, args))
-
-    def call_at_batch(self, times, callback):
-        now = self.now
-        sequence = self._sequence
-        heap = self._heap
-        push = _heappush
-        try:
-            for when in times:
-                if when < now:
-                    raise self._scheduling_error(
-                        f"at t={when} (in the past)"
-                    )
-                sequence += 1
-                push(heap, (when, sequence, callback, ()))
-        finally:
-            self._sequence = sequence
-
-    # -- execution -----------------------------------------------------
-    def _next_entry(self):
-        heap = self._heap
-        return heap[0] if heap else None
-
-    def step(self):
-        when, _key, callback, args = _heappop(self._heap)
-        self.now = when
-        self.executed_events += 1
-        callback(*args)
-        return when
-
-    def peek(self):
-        return self._heap[0][0] if self._heap else None
-
-    def run(self, until=None, error_on_starvation=False):
-        self._stopped = False
-        if until is not None and until < self.now:
-            raise ValueError(f"until={until} is in the past (now={self.now})")
-        heap = self._heap
-        if "step" in self.__dict__:
-            step = self.step
-            while heap and not self._stopped:
-                if until is not None and heap[0][0] > until:
-                    break
-                step()
-        elif until is None:
-            pop = _heappop
-            while heap and not self._stopped:
-                when, _key, callback, args = pop(heap)
-                self.now = when
-                self.executed_events += 1
-                callback(*args)
-        else:
-            pop = _heappop
-            while heap and not self._stopped:
-                if heap[0][0] > until:
-                    break
-                when, _key, callback, args = pop(heap)
-                self.now = when
-                self.executed_events += 1
-                callback(*args)
-        if until is not None and not self._stopped:
-            if not self._heap and error_on_starvation:
-                raise SimulationDeadlock(
-                    f"event heap empty at t={self.now}, target was {until}"
-                )
-            self.now = max(self.now, until)
-
-    @property
-    def pending(self):
-        return len(self._heap)

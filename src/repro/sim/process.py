@@ -77,6 +77,17 @@ class Process(Event):
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _release(self):
+        """Drop the finished generator and the methods bound to it.
+
+        ``_resume_cb`` is a bound method of this process stored on this
+        process — a reference cycle.  Breaking it on termination lets
+        reference counting free the process as soon as nothing waits on
+        it.  Stale wakeups return early on the state and token checks,
+        so nothing reads these fields after the end.
+        """
+        self.generator = self._send = self._gthrow = self._resume_cb = None
+
     def _resume(self, event):
         """Advance the generator with the value of the triggered event."""
         if self._state != _PENDING:
@@ -94,11 +105,13 @@ class Process(Event):
         try:
             target = self._send(value)
         except StopIteration as stop:
+            self._release()
             self.succeed(stop.value)
             return
         except Exception as exc:
             # An uncaught exception terminates the process; it surfaces as
             # a failure of the process event so waiters can react to it.
+            self._release()
             self.fail(exc)
             return
         self._wait_for(target)
@@ -111,9 +124,11 @@ class Process(Event):
         try:
             target = self._gthrow(exception)
         except StopIteration as stop:
+            self._release()
             self.succeed(stop.value)
             return
         except Exception as exc:
+            self._release()
             self.fail(exc)
             return
         self._wait_for(target)
@@ -131,9 +146,11 @@ class Process(Event):
         try:
             target = self._send(None)
         except StopIteration as stop:
+            self._release()
             self.succeed(stop.value)
             return
         except Exception as exc:
+            self._release()
             self.fail(exc)
             return
         self._wait_for(target)

@@ -593,10 +593,10 @@ class GraphSystem(ServiceSystem):
                 start=request.created_at, end=self.sim.now,
                 attempts=exchange.attempts,
                 drops=[
-                    (t, d) for t, e, d in request.root.trace if e == "drop"
+                    (t, d) for t, e, d in request.trace if e == "drop"
                 ],
                 sheds=[
-                    (t, d) for t, e, d in request.root.trace if e == "shed"
+                    (t, d) for t, e, d in request.trace if e == "shed"
                 ],
                 failed=failed, error=error,
             )

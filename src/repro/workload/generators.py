@@ -28,10 +28,10 @@ __all__ = ["ClosedLoopPopulation", "MmppOpenLoop", "OpenLoopPoisson",
 
 def _faults_from_trace(request):
     """Collect (time, listener) drop and shed entries recorded on the
-    root trace — one walk for both fault kinds."""
+    trace of the root ``request`` — one walk for both fault kinds."""
     drops = []
     sheds = []
-    for time, event, detail in request.root.trace:
+    for time, event, detail in request.trace:
         if event == "drop":
             drops.append((time, detail))
         elif event == "shed":
@@ -72,11 +72,11 @@ class _GeneratorBase:
 
     def _kept_trace(self, request, failed):
         if self.keep_traces == "all":
-            return request.root.trace
+            return request.trace
         if self.keep_traces == "vlrt":
             slow = (self.sim.now - request.created_at) > self.VLRT_TRACE_THRESHOLD
             if failed or slow:
-                return request.root.trace
+                return request.trace
         return None
 
     def _perform(self, spec):
@@ -113,7 +113,7 @@ class _GeneratorBase:
             error=error,
         )
         if self.sampler is not None:
-            self.sampler.observe(record, request.root.trace)
+            self.sampler.observe(record, request.trace)
         else:
             record.trace = self._kept_trace(request, failed)
         self.log.add(record)

@@ -1,5 +1,7 @@
 """Unit tests for the servlet DSL (repro.apps.servlet)."""
 
+import gc
+
 import pytest
 
 from repro.apps.servlet import (
@@ -41,6 +43,17 @@ def test_record_lands_on_root_trace():
     child.record(1.5, "drop", "mysql")
     assert root.trace == [(1.5, "drop", "mysql")]
     assert child.trace == []  # child delegates to root
+
+
+def test_request_tree_is_freed_by_reference_counting():
+    """No request refers to itself, directly or through a child, so
+    the collector finds nothing once the tree is dropped."""
+    gc.collect()
+    root = Request("K", "op", 0.0)
+    root.child("q", 1.0).child("q.sub", 2.0).record(2.5, "drop", "mysql")
+    assert root.trace == [(2.5, "drop", "mysql")]
+    del root
+    assert gc.collect() == 0
 
 
 def test_response_constructors():

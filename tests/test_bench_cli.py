@@ -14,6 +14,8 @@ import pytest
 from repro import bench
 from repro.cli import main
 
+from reference_kernel import use_heap_kernel
+
 
 def test_new_workloads_report_their_ops():
     assert bench.bench_wheel_schedule(0.01) == 2000
@@ -25,7 +27,7 @@ def test_far_timer_churn_matches_heap_kernel(monkeypatch):
     """The churn workload executes the same event count under both
     schedulers (it exists to compare them)."""
     wheel = bench.bench_far_timer_churn(0.01)
-    monkeypatch.setenv("REPRO_KERNEL", "heap")
+    use_heap_kernel(monkeypatch)
     assert bench.bench_far_timer_churn(0.01) == wheel
 
 
@@ -127,6 +129,9 @@ def test_profile_benchmark_writes_loadable_pstats(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "kernel_callbacks" in out
     assert "function calls" in out  # the pstats table rendered
+    # collector time never shows in the table, so it gets its own line
+    assert "cyclic garbage collector: " in out
+    assert "collections (generation 0/1/2)" in out
     stats = pstats.Stats(str(dump))  # snakeviz-loadable binary dump
     assert stats.total_calls > 0
     run_frames = [key for key in stats.stats if key[2] == "run"]

@@ -2,7 +2,7 @@
 
 The calendar-queue :class:`~repro.sim.kernel.Simulator` must execute
 *exactly* the same callbacks, in the same order, at the same float
-times, as the reference :class:`~repro.sim.kernel.HeapSimulator` — for
+times, as the reference heap kernel (``reference_kernel.HeapSimulator``) — for
 any schedule, any geometry, any interleaving of ``run(until=...)``
 phases.  Determinism of every golden record in this repository rests on
 that equivalence, so these tests drive both kernels with randomized
@@ -11,7 +11,7 @@ bulk batches, nested scheduling from callbacks, far-future overflow
 times) and require byte-identical traces.
 
 The slow test at the bottom is the full lock: the whole quick registry
-replayed under ``REPRO_KERNEL=heap`` must reproduce
+replayed on the heap kernel must reproduce
 ``tests/data/golden_registry_quick.json`` byte-identically, exactly as
 the default calendar kernel does in ``test_policy_equivalence``.
 """
@@ -22,8 +22,9 @@ import random
 
 import pytest
 
-from repro.sim import HeapSimulator, Simulator
-from repro.sim.kernel import KERNEL_ENV
+from repro.sim import Simulator
+
+from reference_kernel import HeapSimulator, use_heap_kernel
 
 #: wheel geometries under test: the default, sub-event-rate tiny
 #: buckets (maximal rollover churn), one huge bucket (degenerates to a
@@ -34,12 +35,6 @@ GEOMETRIES = (
     {"bucket_width": 1000.0, "wheel_buckets": 4},
     {"bucket_width": 0.001, "wheel_buckets": 1},
 )
-
-
-@pytest.fixture(autouse=True)
-def _no_kernel_env(monkeypatch):
-    # the explicit constructors below must not be re-dispatched
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
 
 
 def build_script(seed, ops=150):
@@ -185,16 +180,6 @@ def test_batch_failure_keeps_sequence_consistent(make):
     assert hits == ["batch", "batch", "after"]
 
 
-def test_env_var_selects_heap_kernel(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "heap")
-    assert type(Simulator(seed=0)) is HeapSimulator
-    monkeypatch.setenv(KERNEL_ENV, "wheel")
-    assert type(Simulator(seed=0)) is Simulator
-    monkeypatch.setenv(KERNEL_ENV, "calendar")
-    with pytest.raises(ValueError, match="expected 'wheel' or 'heap'"):
-        Simulator(seed=0)
-
-
 # ----------------------------------------------------------------------
 # the golden lock: the quick registry under the heap kernel
 # ----------------------------------------------------------------------
@@ -210,7 +195,8 @@ def test_fig03_quick_record_matches_golden_under_heap(monkeypatch):
     history."""
     from repro.experiments.runner import JobConfig, execute_job, job_id
 
-    monkeypatch.setenv(KERNEL_ENV, "heap")
+    use_heap_kernel(monkeypatch)
+    assert type(Simulator(seed=0)) is HeapSimulator
     with open(GOLDEN_PATH) as handle:
         golden = json.load(handle)
     job = JobConfig(name="fig03", seed=42, duration=18.0)
@@ -219,12 +205,13 @@ def test_fig03_quick_record_matches_golden_under_heap(monkeypatch):
 
 @pytest.mark.slow
 def test_quick_registry_replays_golden_under_heap(monkeypatch):
-    """The entire quick registry, replayed with ``REPRO_KERNEL=heap``
-    through the parallel engine, reproduces the golden bytes."""
+    """The entire quick registry, replayed on the heap kernel through
+    the parallel engine (whose forked workers inherit the patch),
+    reproduces the golden bytes."""
     from repro.experiments.record import records_to_json
     from repro.experiments.runner import expand_jobs, run_jobs
 
-    monkeypatch.setenv(KERNEL_ENV, "heap")
+    use_heap_kernel(monkeypatch)
     with open(GOLDEN_PATH) as handle:
         golden = json.load(handle)
     names = sorted({record["experiment"] for record in golden.values()})

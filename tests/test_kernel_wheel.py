@@ -11,12 +11,6 @@ observable behaviour and the documented invariants.
 import pytest
 
 from repro.sim import SimulationDeadlock, Simulator
-from repro.sim.kernel import KERNEL_ENV
-
-
-@pytest.fixture(autouse=True)
-def _no_kernel_env(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
 
 
 def tiny(width=0.1, buckets=4, seed=0):

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event kernel (repro.sim.kernel)."""
 
+import gc
+
 import pytest
 
-from repro.sim import SimulationDeadlock, Simulator
+from repro.sim import KernelTracer, SimulationDeadlock, Simulator
 
 
 def test_callbacks_run_in_time_order():
@@ -144,3 +146,74 @@ def test_peek_reports_next_event_time():
     sim.call_in(4.0, lambda: None)
     sim.call_in(2.0, lambda: None)
     assert sim.peek() == 2.0
+
+
+# ----------------------------------------------------------------------
+# the cyclic collector is paused while events dispatch
+# ----------------------------------------------------------------------
+@pytest.fixture
+def collecting():
+    """Start with the collector on, and leave it on whatever happens."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("until", [None, 5.0])
+@pytest.mark.parametrize("traced", [False, True], ids=["inline", "step"])
+def test_run_pauses_the_collector_inside_callbacks(collecting, until,
+                                                   traced):
+    sim = Simulator()
+    if traced:
+        KernelTracer(sim)  # forces the step-dispatch path
+    seen = []
+    sim.call_in(1.0, lambda: seen.append(gc.isenabled()))
+    sim.run(until=until)
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_run_restores_the_collector_when_a_callback_raises(collecting):
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.call_in(1.0, boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert gc.isenabled()
+
+
+def test_run_restores_the_collector_after_a_deadlock(collecting):
+    sim = Simulator()
+    with pytest.raises(SimulationDeadlock):
+        sim.run(until=3.0, error_on_starvation=True)
+    assert gc.isenabled()
+
+
+def test_nested_run_leaves_the_outer_run_paused(collecting):
+    outer, inner = Simulator(), Simulator()
+    seen = []
+    inner.call_in(1.0, lambda: seen.append(("inner", gc.isenabled())))
+
+    def run_inner():
+        inner.run()
+        seen.append(("outer", gc.isenabled()))
+
+    outer.call_in(1.0, run_inner)
+    outer.run()
+    assert seen == [("inner", False), ("outer", False)]
+    assert gc.isenabled()
+
+
+def test_run_leaves_a_disabled_collector_disabled(collecting):
+    gc.disable()
+    sim = Simulator()
+    sim.call_in(1.0, lambda: None)
+    sim.run()
+    assert not gc.isenabled()

@@ -1,5 +1,7 @@
 """Unit tests for generator processes (repro.sim.process)."""
 
+import gc
+
 import pytest
 
 from repro.sim import ProcessInterrupt, Simulator
@@ -159,6 +161,42 @@ def test_stale_wakeup_after_interrupt_is_ignored(sim):
     sim.call_in(2.0, ev.succeed, None)  # fires while proc sleeps
     sim.run()
     assert trace == ["interrupted", "post-sleep"]
+
+
+def test_stale_event_after_the_end_is_ignored(sim):
+    """An abandoned event firing after the process ended finds it
+    released and does nothing."""
+    ev = sim.event()
+
+    def proc():
+        try:
+            yield ev
+        except ProcessInterrupt:
+            return "interrupted"
+
+    p = sim.process(proc())
+    sim.call_in(1.0, p.interrupt)
+    sim.call_in(2.0, ev.succeed, "late")
+    sim.run()
+    assert p.value == "interrupted"
+    assert p.generator is None
+
+
+def test_finished_process_is_freed_by_reference_counting(sim):
+    """On termination a process drops its generator and its bound
+    resume callback (a cycle through the process), so reference
+    counting frees it: the collector finds nothing."""
+    def proc():
+        yield 1.0
+        yield sim.timeout(1.0)
+        return "done"
+
+    values = []
+    sim.process(proc()).add_callback(lambda p: values.append(p.value))
+    gc.collect()
+    sim.run()
+    assert values == ["done"]
+    assert gc.collect() == 0
 
 
 def test_yield_bad_type_fails_process(sim):

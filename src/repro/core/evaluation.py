@@ -406,11 +406,10 @@ class Scenario:
         live_config = self.live if self.live is not None \
             else live_telemetry.active()
         telemetry = None
-        keep_traces = "vlrt"
+        sampler = None
         if live_config is not None:
             telemetry = live_config.build(sim).attach(system, monitor)
-            if telemetry.sampler is not None:
-                keep_traces = telemetry.sampler
+            sampler = telemetry.sampler
 
         if self._open_loop is not None:
             if self.burst_index > 1:
@@ -420,7 +419,7 @@ class Scenario:
                 )
             ArrayOpenLoop(
                 sim, system.fabric, system.entry, system.app, system.log,
-                horizon=self.duration, keep_traces=keep_traces,
+                horizon=self.duration, sampler=sampler,
                 **self._open_loop,
             ).start()
         else:
@@ -430,7 +429,7 @@ class Scenario:
             population = ClosedLoopPopulation(
                 sim, system.fabric, system.entry, system.app, system.log,
                 clients=self.clients, think_mean=self.think_mean,
-                modulator=modulator, keep_traces=keep_traces,
+                modulator=modulator, sampler=sampler,
             )
             population.start()
 
@@ -484,13 +483,13 @@ class Scenario:
                     sim, system.fabric, system.entry, system.app, system.log,
                     period=spec["period"], until=self.duration,
                     batch_size=spec["batch_size"], operation=spec["operation"],
-                    keep_traces=keep_traces,
+                    sampler=sampler,
                 )
             else:
                 burst = ScriptedBurst(
                     sim, system.fabric, system.entry, system.app, system.log,
                     times=times, batch_size=spec["batch_size"],
-                    operation=spec["operation"], keep_traces=keep_traces,
+                    operation=spec["operation"], sampler=sampler,
                 )
             burst.start()
 

@@ -17,120 +17,59 @@ needs no replicas at all.
 
 from __future__ import annotations
 
-from ..apps.rubbos import RubbosApplication
-from ..cpu.host import Host
 from ..injectors.colocation import ColocationInjector
 from ..metrics.monitor import SystemMonitor
-from ..metrics.trace import RequestLog
-from ..net.tcp import NetworkFabric
-from ..servers.sync_server import SyncServer
-from ..sim.kernel import Simulator
+from ..topology.builder import build_system
 from ..topology.configs import SystemConfig
 from ..workload.generators import ClosedLoopPopulation
 from .report import format_table
 
-__all__ = ["build_replicated", "run", "run_experiment", "main"]
-
-
-def build_replicated(config=None, replicas=2, sim=None):
-    """web -> N app replicas -> db, all synchronous, round-robin.
-
-    When a pre-built simulator is supplied, its seed must match
-    ``config.seed`` — otherwise every stream forked from the simulator
-    (workload arrivals, GC pauses, network jitter) would silently come
-    from a different seed than the one recorded in the config, breaking
-    the record-from-seed reproducibility contract.
-    """
-    config = config or SystemConfig(nx=0)
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if sim is not None and sim.seed != config.seed:
-        raise ValueError(
-            f"simulator seed {sim.seed!r} != config.seed {config.seed!r}; "
-            "forked RNG streams would not be reproducible from the config"
-        )
-    sim = sim or Simulator(seed=config.seed)
-    fabric = NetworkFabric(sim, latency=config.net_latency,
-                           rto=config.tcp_rto,
-                           max_retransmits=config.max_retransmits)
-    app = RubbosApplication(config.interaction_specs)
-    handlers = app.handlers()
-
-    def make(name, tier, threads, backlog, host=None):
-        host = host or Host(sim, cores=1, name=f"{name}-host")
-        vm = host.add_vm(f"{name}-vm")
-        server = SyncServer(sim, fabric, name, vm, handlers[tier],
-                            threads=threads, backlog=backlog,
-                            spawn_extra_process=(tier == "web"
-                                                 and config.web_spawn_extra_process))
-        return host, vm, server
-
-    web_host, web_vm, web = make("apache", "web", config.web_threads,
-                                 config.web_backlog)
-    app_servers = []
-    app_vms = []
-    app_hosts = []
-    for index in range(replicas):
-        host, vm, server = make(f"tomcat{index + 1}", "app",
-                                config.app_threads, config.app_backlog)
-        app_hosts.append(host)
-        app_vms.append(vm)
-        app_servers.append(server)
-    db_host, db_vm, db = make("mysql", "db", config.db_threads,
-                              config.db_backlog)
-
-    web.connect("app", [server.listener for server in app_servers])
-    for server in app_servers:
-        server.connect("db", db.listener, pool_size=config.db_pool_size)
-
-    return {
-        "sim": sim, "fabric": fabric, "app": app,
-        "log": RequestLog(streaming=config.streaming),
-        "web": web, "apps": app_servers, "db": db,
-        "hosts": {"web": web_host, "apps": app_hosts, "db": db_host},
-        "vms": {"web": web_vm, "apps": app_vms, "db": db_vm},
-    }
+__all__ = ["run", "run_experiment", "main"]
 
 
 def run(replicas=2, clients=7000, duration=40.0, warmup=5.0,
         burst_times=(15.0, 25.0), seed=42, streaming=False):
-    """A millibottleneck on replica 1's host; measure where drops land."""
-    system = build_replicated(
-        SystemConfig(nx=0, seed=seed, streaming=streaming),
-        replicas=replicas,
-    )
-    sim = system["sim"]
+    """A millibottleneck on replica 1's host; measure where drops land.
+
+    The system is the all-synchronous 3-tier preset with ``replicas``
+    app servers (``tomcat1..N``) behind the web tier's round-robin
+    :class:`~repro.servers.replica.ReplicaGroup`; ``replicas=1`` is the
+    unreplicated system (``tomcat``).  The monitor watches
+    every server and the app replicas' VMs only: watching a VM settles
+    its host at every sample, which moves completion times in the last
+    bits (docs/OBSERVABILITY.md).
+    """
+    system = build_system(SystemConfig(nx=0, seed=seed, streaming=streaming,
+                                       app_replicas=replicas))
+    sim = system.sim
     if streaming:
-        system["log"].set_warmup(warmup)
+        system.log.set_warmup(warmup)
+    app_names = system.graph.node("app").replica_names
+    vms = dict(system.vm_items())
     monitor = SystemMonitor(sim)
-    monitor.watch_server("apache", system["web"])
-    for index, server in enumerate(system["apps"]):
-        monitor.watch_server(server.name, server)
-        monitor.watch_vm(server.name, system["vms"]["apps"][index])
-    monitor.watch_server("mysql", system["db"])
-    monitor.watch_log("clients", system["log"])
+    for name, server in system.server_items():
+        monitor.watch_server(name, server)
+        if name in app_names:
+            monitor.watch_vm(name, vms[name])
+    monitor.watch_log("clients", system.log)
     monitor.start()
 
     ClosedLoopPopulation(
-        sim, system["fabric"], system["web"].listener, system["app"],
-        system["log"], clients=clients, think_mean=7.0,
+        sim, system.fabric, system.entry, system.app, system.log,
+        clients=clients, think_mean=7.0,
     ).start()
     injector = ColocationInjector(
-        sim, system["hosts"]["apps"][0], shares=30.0,
+        sim, vms[app_names[0]].host, shares=30.0,
         burst_cpu_seconds=1.0, burst_jobs=400,
     )
     injector.scripted(list(burst_times))
     sim.run(until=duration)
 
-    log = system["log"].after(warmup)
-    drops = {"apache": system["web"].listener.drops,
-             "mysql": system["db"].listener.drops}
-    for server in system["apps"]:
-        drops[server.name] = server.listener.drops
+    log = system.log.after(warmup)
     return {
         "replicas": replicas,
         "summary": log.summary(duration - warmup),
-        "drops": drops,
+        "drops": system.drop_counts(),
         "queue_max": {
             name: int(series.max())
             for name, series in monitor.queues.items()

@@ -12,9 +12,9 @@ root request's trace; this module turns a trace into:
 - :func:`narrate` — a human-readable timeline, the textual analogue of
   the paper's Fig 4 walk-through.
 
-Traces are kept per-request only when a workload generator is built
-with ``keep_traces`` (kept for VLRT requests by default), so the
-overhead on the millions of fast requests is one list that gets
+A workload generator keeps a request's trace only when the request
+failed or was VLRT, or when its ``sampler`` admits it, so the overhead
+on the millions of fast requests is one list that gets
 garbage-collected.
 """
 

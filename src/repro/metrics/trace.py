@@ -35,10 +35,25 @@ import numpy as np
 from .sketch import StreamingStats
 from .timeseries import TimeSeries
 
-__all__ = ["RequestLog", "RequestRecord", "VLRT_THRESHOLD"]
+__all__ = ["RequestLog", "RequestRecord", "VLRT_THRESHOLD",
+           "faults_from_trace"]
 
 #: the paper's VLRT threshold: one TCP retransmission interval.
 VLRT_THRESHOLD = 3.0
+
+
+def faults_from_trace(trace):
+    """Collect the (time, listener) drop and shed entries of a root
+    request's ``trace`` — one walk for both fault kinds, as the
+    :class:`RequestRecord` of that request carries them."""
+    drops = []
+    sheds = []
+    for time, event, detail in trace:
+        if event == "drop":
+            drops.append((time, detail))
+        elif event == "shed":
+            sheds.append((time, detail))
+    return drops, sheds
 
 
 class RequestRecord:
@@ -71,8 +86,9 @@ class RequestRecord:
         self.sheds = list(sheds)
         self.failed = failed
         self.error = error
-        #: full event trace, kept only when the workload generator's
-        #: ``keep_traces`` policy says so (see repro.metrics.spans).
+        #: full event trace, kept only for a failed or VLRT request, or
+        #: when the workload generator's ``sampler`` admits it (see
+        #: repro.metrics.spans).
         self.trace = trace
 
     @property

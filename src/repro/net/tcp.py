@@ -29,10 +29,10 @@ after the original — matching the observed 3/6/9-second clusters.
 from __future__ import annotations
 
 from ..sim.events import SlimEvent
-from ..sim.resources import Resource, Store
+from ..sim.resources import Store
 
-__all__ = ["SHED", "ConnectionPool", "ConnectionTimeout", "Exchange",
-           "Listener", "NetworkFabric"]
+__all__ = ["SHED", "ConnectionTimeout", "Exchange", "Listener",
+           "NetworkFabric"]
 
 
 class _Shed:
@@ -138,65 +138,6 @@ class Exchange:
         )
 
 
-class ConnectionPool:
-    """A bounded caller-side connection pool to one listener.
-
-    The paper's Tomcat→MySQL JDBC pool, made per-*replica*: a caller
-    holding a replica group keeps one pool per downstream replica, so a
-    stalled replica can exhaust only its own connections while the
-    siblings keep serving.  Thin statistics-keeping wrapper over a
-    :class:`~repro.sim.resources.Resource` — ``acquire`` returns the
-    usual grant event, and a pending grant can be withdrawn with
-    :meth:`cancel` (a hedged request whose other leg already won).
-    """
-
-    __slots__ = ("listener", "size", "_resource", "acquired", "peak_in_use")
-
-    def __init__(self, sim, listener, size, name=None):
-        if size < 1:
-            raise ValueError(f"pool size must be >= 1, got {size}")
-        self.listener = listener
-        self.size = size
-        self._resource = Resource(
-            sim, size, name=name or f"{listener.name}.pool"
-        )
-        #: grants actually handed out (not merely requested)
-        self.acquired = 0
-        self.peak_in_use = 0
-
-    @property
-    def in_use(self):
-        return self._resource.in_use
-
-    @property
-    def queue_length(self):
-        return self._resource.queue_length
-
-    def acquire(self):
-        """Grant event for one connection; queues when the pool is full."""
-        grant = self._resource.acquire()
-        grant.add_callback(self._granted)
-        return grant
-
-    def _granted(self, _grant):
-        self.acquired += 1
-        if self._resource.in_use > self.peak_in_use:
-            self.peak_in_use = self._resource.in_use
-
-    def release(self):
-        self._resource.release()
-
-    def cancel(self, grant):
-        """Withdraw a still-pending grant; False if already granted."""
-        return self._resource.cancel(grant)
-
-    def __repr__(self):
-        return (
-            f"<ConnectionPool {self.listener.name} "
-            f"{self.in_use}/{self.size} waiting={self.queue_length}>"
-        )
-
-
 class Listener:
     """A listening socket: bounded accept queue plus optional acceptor.
 
@@ -246,6 +187,13 @@ class Listener:
     def try_accept(self):
         """Pop a queued exchange immediately, or None."""
         return self.accept_queue.try_get()
+
+    def send(self, fabric, payload):
+        """Send ``payload`` here over ``fabric``; returns the
+        :class:`Exchange`.  A route or client entry is a listener or a
+        :class:`~repro.servers.replica.ReplicaGroup`, and both answer
+        this call."""
+        return fabric.send(self, payload)
 
     def deliver(self, exchange):
         """A packet arrives; returns True if admitted, False if dropped,

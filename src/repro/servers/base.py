@@ -36,6 +36,7 @@ from ..apps.servlet import (
     StorageRead,
     StorageWrite,
 )
+from ..net.tcp import Listener
 from ..sim.events import _FAILED, _PENDING, Event, SlimEvent
 from ..sim.resources import Resource
 from .gather import GatherCall
@@ -229,11 +230,11 @@ class DownstreamCall(SlimEvent):
         server = self.server
         now = server.sim.now
         step = self.step
-        replicas, _pool, label = self.route
+        target, _pool, label = self.route
         sub = self.request.child(step.operation, now,
                                  work_hint=step.work_hint)
         sub.record(now, "call", label)
-        self.exchange = exchange = replicas.send(server.fabric, sub)
+        self.exchange = exchange = target.send(server.fabric, sub)
         exchange.response.add_callback(self._on_response)
 
     def _on_response(self, response):
@@ -258,34 +259,6 @@ class DownstreamCall(SlimEvent):
         pool = self.route[1]
         if pool is not None:
             pool.release()
-
-
-class _RoundRobin:
-    """Round-robin selector over one or more replica listeners."""
-
-    __slots__ = ("listeners", "_index")
-
-    def __init__(self, listeners):
-        self.listeners = listeners
-        self._index = 0
-
-    def next(self):
-        listener = self.listeners[self._index]
-        self._index = (self._index + 1) % len(self.listeners)
-        return listener
-
-    def send(self, fabric, payload):
-        """Dispatch ``payload`` to the next replica; returns the
-        :class:`~repro.net.tcp.Exchange` (same surface as
-        :meth:`repro.servers.replica.ReplicaGroup.send`)."""
-        return fabric.send(self.next(), payload)
-
-    def __len__(self):
-        return len(self.listeners)
-
-    def __repr__(self):
-        names = [listener.name for listener in self.listeners]
-        return f"<RoundRobin {names}>"
 
 
 class BaseServer:
@@ -315,14 +288,13 @@ class BaseServer:
         self.listener = fabric.listener(name, backlog=backlog)
         self.listener.observer = self._note_queue_depth
         self.ctx = ServletContext(name, sim, sim.fork_rng(f"server/{name}"))
+        #: target -> the Listener or ReplicaGroup it is routed to
         self.downstream = {}
+        #: target -> caller-side pool Resource, for pooled routes only
         self.pools = {}
-        #: target -> "<this server>-><target>" trace label, precomputed
-        #: in connect(): building it per downstream call is pure hot-path
-        #: allocation (once per request per hop).
-        self.route_labels = {}
-        #: target -> (round-robin, pool-or-None, label): one dict lookup
-        #: per downstream call instead of three.
+        #: target -> (listener-or-group, pool-or-None, trace label
+        #: "<this server>-><target>"): one dict lookup per downstream
+        #: call, and no label built per call
         self._routes = {}
         self.stats = ServerStats()
         #: attached :class:`~repro.servers.cache.LruCache`, or ``None``;
@@ -349,23 +321,22 @@ class BaseServer:
     def connect(self, target, listener, pool_size=None):
         """Route :class:`Call` steps naming ``target`` to ``listener``.
 
-        ``listener`` may also be a list of listeners — replicas of the
-        downstream tier — which are used round-robin per call, or a
-        :class:`~repro.servers.replica.ReplicaGroup` for pluggable
-        balancing, per-replica pools and hedging (the group then owns
-        all pooling, so ``pool_size`` must be None).
+        ``listener`` is a :class:`~repro.net.tcp.Listener`, or a
+        :class:`~repro.servers.replica.ReplicaGroup` for replicas of the
+        downstream tier: balancing, per-replica pools and hedging (the
+        group then owns all pooling, so ``pool_size`` must be None).
+        Anything else is a ``TypeError`` here, at wiring time.
 
         ``pool_size`` installs a caller-side connection pool (the
         Tomcat→MySQL JDBC pool of 50): at most that many outstanding
         calls to the target; further callers queue *inside this server*,
         which is exactly how MySQL's effective ``MaxSysQDepth`` seen
-        from a synchronous Tomcat becomes ~50 in the paper.  With
-        replicas the pool covers the whole group.
+        from a synchronous Tomcat becomes ~50 in the paper.
 
         Re-wiring an already-connected target is rejected: silently
         overwriting the route would leak the old pool ``Resource``
         (with any waiters still queued on it) and invalidate the
-        round-robin state mid-run.
+        balancer state mid-run.
         """
         if target in self._routes:
             raise ValueError(
@@ -378,22 +349,18 @@ class BaseServer:
                     f"{self.name}->{target}: a ReplicaGroup manages its "
                     "own per-replica pools; pool_size must be None"
                 )
-            self.downstream[target] = listener
-        elif isinstance(listener, (list, tuple)):
-            listeners = list(listener)
-            if not listeners:
-                raise ValueError(f"{self.name}->{target}: empty replica list")
-            self.downstream[target] = _RoundRobin(listeners)
-        else:
-            self.downstream[target] = _RoundRobin([listener])
-        self.route_labels[target] = f"{self.name}->{target}"
+        elif not isinstance(listener, Listener):
+            raise TypeError(
+                f"{self.name}->{target}: a route is a Listener or a "
+                f"ReplicaGroup, got {listener!r}"
+            )
+        self.downstream[target] = listener
+        pool = None
         if pool_size is not None:
-            self.pools[target] = Resource(
+            pool = self.pools[target] = Resource(
                 self.sim, pool_size, name=f"{self.name}->{target}.pool"
             )
-        self._routes[target] = (self.downstream[target],
-                                self.pools.get(target),
-                                self.route_labels[target])
+        self._routes[target] = (listener, pool, f"{self.name}->{target}")
         return self
 
     # ------------------------------------------------------------------

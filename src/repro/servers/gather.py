@@ -58,7 +58,7 @@ class _GatherLeg:
 
     def __init__(self, index, route):
         self.index = index
-        #: the server's (selector, pool, label) route triple
+        #: the server's (listener-or-group, pool, label) route triple
         self.route = route
         self.pool = route[1]
         #: pending pool grant, None once granted, cancelled or unpooled
@@ -161,11 +161,11 @@ class GatherCall:
             return
         server = self.server
         call = self.step.calls[leg.index]
-        selector, _pool, label = leg.route
+        target, _pool, label = leg.route
         sub = self.request.child(call.operation, self.sim.now,
                                  work_hint=call.work_hint)
         sub.record(self.sim.now, "call", label)
-        leg.exchange = selector.send(server.fabric, sub)
+        leg.exchange = target.send(server.fabric, sub)
         leg.exchange.response.add_callback(
             lambda event, leg=leg: self._leg_done(leg, event)
         )

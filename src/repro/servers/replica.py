@@ -21,9 +21,9 @@ the same composition style as :mod:`repro.servers.policies`:
     grant not yet issued) and otherwise accounted as wasted work.
 :class:`ReplicaGroup`
     N downstream listeners + a balancer + optional hedging + optional
-    per-replica :class:`~repro.net.tcp.ConnectionPool`s, exposed to the
-    servers through the same ``send(fabric, payload)`` surface as a
-    plain single-listener route.
+    per-replica connection pools, exposed to the servers through the
+    same ``send(fabric, payload)`` surface as a plain
+    :class:`~repro.net.tcp.Listener` route.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ..net.tcp import ConnectionPool
 from ..sim.events import SlimEvent
+from ..sim.resources import Resource
 
 __all__ = [
     "BALANCERS",
@@ -255,7 +255,7 @@ class _Leg:
 
     def __init__(self, index):
         self.index = index
-        #: pending ConnectionPool grant, None once granted or unpooled
+        #: pending pool grant, None once granted or unpooled
         self.grant = None
         self.exchange = None
         self.done = False
@@ -441,9 +441,10 @@ class ReplicaGroup:
         ``None`` (no hedging), a :class:`HedgingSpec`, or a ready
         :class:`HedgingPolicy`.
     pool_size:
-        If given, a per-replica :class:`ConnectionPool` of that size —
-        note per *replica*, so a stalled replica can only exhaust its
-        own connections.
+        If given, one caller-side connection pool (a
+        :class:`~repro.sim.resources.Resource`) of that size per
+        *replica*, so a stalled replica can only exhaust its own
+        connections.
     """
 
     def __init__(self, sim, name, listeners, balancer="round_robin",
@@ -473,8 +474,7 @@ class ReplicaGroup:
             raise ValueError(f"{name}: hedging needs >= 2 replicas")
         if pool_size is not None:
             self.pools = [
-                ConnectionPool(sim, listener, pool_size,
-                               name=f"{name}->{listener.name}.pool")
+                Resource(sim, pool_size, name=f"{name}->{listener.name}.pool")
                 for listener in listeners
             ]
         else:
@@ -496,12 +496,6 @@ class ReplicaGroup:
             call._hedge_pending = True
             self.sim.call_in(self.hedging.delay(), call._maybe_hedge)
         return call
-
-    # -- route-selector compatibility ----------------------------------
-    def next(self):
-        """Pick a replica listener without dispatching (route-selector
-        compatibility; bypasses pooling and hedging)."""
-        return self.listeners[self.balancer.pick(self)]
 
     def __len__(self):
         return len(self.listeners)

@@ -41,7 +41,7 @@ from ..apps.servlet import (
 )
 from ..cpu.host import Host
 from ..metrics.monitor import SystemMonitor
-from ..metrics.trace import RequestLog, RequestRecord
+from ..metrics.trace import RequestLog, RequestRecord, faults_from_trace
 from ..net.tcp import ConnectionTimeout, NetworkFabric
 from ..servers.cache import LruCache
 from ..servers.policies import TierPolicy
@@ -201,7 +201,7 @@ class EdgeSpec:
 
     ``pool`` installs a caller-side connection pool on the route (the
     chain's ``pool_to_next`` / the 3-tier JDBC pool); with a replicated
-    target the pool covers the whole replica group.
+    target each caller keeps one pool of that size per replica.
     """
 
     source: str
@@ -396,10 +396,9 @@ class ServiceSystem:
         self.name_prefix = name_prefix
         self.log = RequestLog(streaming=streaming)
         self.monitor = None
-        #: where clients send: the entry node's listener, or
-        #: ``client_group`` when the entry node is replicated
+        #: where clients send: the entry node's listener, or the
+        #: ``clients-><entry>`` ReplicaGroup when it is replicated
         self.entry = None
-        self.client_group = None
         #: route label -> ReplicaGroup, for every replicated hop
         self.groups = {}
         #: replica display name -> LruCache, for ``kind="cache"`` nodes
@@ -570,13 +569,7 @@ class GraphSystem(ServiceSystem):
     def _one_request(self):
         request = Request(self.request_kind, self.request_operation,
                           self.sim.now)
-        entry = self.entry
-        if hasattr(entry, "send"):
-            # replicated entry node: the group balances/hedges and
-            # returns an exchange-like HedgedCall
-            exchange = entry.send(self.fabric, request)
-        else:
-            exchange = self.fabric.send(entry, request)
+        exchange = self.entry.send(self.fabric, request)
         failed = False
         error = None
         try:
@@ -587,17 +580,12 @@ class GraphSystem(ServiceSystem):
         except ConnectionTimeout as exc:
             failed = True
             error = str(exc)
+        drops, sheds = faults_from_trace(request.trace)
         self.log.add(
             RequestRecord(
                 request.id, self.request_kind,
                 start=request.created_at, end=self.sim.now,
-                attempts=exchange.attempts,
-                drops=[
-                    (t, d) for t, e, d in request.trace if e == "drop"
-                ],
-                sheds=[
-                    (t, d) for t, e, d in request.trace if e == "shed"
-                ],
+                attempts=exchange.attempts, drops=drops, sheds=sheds,
                 failed=failed, error=error,
             )
         )
@@ -821,8 +809,7 @@ def build_graph(graph, sim=None, seed=42, net_latency=0.0002, rto=3.0,
 
     entry_node = graph.node(graph.entry)
     if entry_node.replicas > 1:
-        system.client_group = route_group("clients", entry_node, None)
-        system.entry = system.client_group
+        system.entry = route_group("clients", entry_node, None)
     else:
         system.entry = node_servers[graph.entry][0].listener
 

@@ -18,78 +18,44 @@ packets were dropped beyond the retransmission limit.
 from __future__ import annotations
 
 from ..apps.servlet import Request
-from ..metrics.trace import RequestRecord
+from ..metrics.trace import VLRT_THRESHOLD, RequestRecord, faults_from_trace
 from ..net.tcp import ConnectionTimeout
-from .sampling import TraceSampler
 
 __all__ = ["ClosedLoopPopulation", "MmppOpenLoop", "OpenLoopPoisson",
            "ScriptedBurst"]
 
 
-def _faults_from_trace(request):
-    """Collect (time, listener) drop and shed entries recorded on the
-    trace of the root ``request`` — one walk for both fault kinds."""
-    drops = []
-    sheds = []
-    for time, event, detail in request.trace:
-        if event == "drop":
-            drops.append((time, detail))
-        elif event == "shed":
-            sheds.append((time, detail))
-    return drops, sheds
-
-
 class _GeneratorBase:
     """Send-one-request machinery shared by all generators.
 
-    ``keep_traces`` controls per-request event traces (for
-    :mod:`repro.metrics.spans`): ``"vlrt"`` (default) keeps them only
-    for requests slower than 3 s or failed — the ones worth a
-    micro-level post-mortem; ``"all"`` keeps every trace (memory-heavy
-    at WL 7000); ``None`` keeps none; a
-    :class:`~repro.workload.sampling.TraceSampler` instance applies
-    budgeted head sampling plus always-keep anomalies (the
+    ``entry`` is where requests go: the front tier's
+    :class:`~repro.net.tcp.Listener` or a
+    :class:`~repro.servers.replica.ReplicaGroup` over its replicas.
+
+    ``sampler`` decides which requests keep their per-request event
+    trace (for :mod:`repro.metrics.spans`).  ``None`` (the default)
+    keeps a trace exactly when the request failed or took longer than
+    :data:`~repro.metrics.trace.VLRT_THRESHOLD` — the ones worth a
+    micro-level post-mortem.  A
+    :class:`~repro.workload.sampling.TraceSampler` applies budgeted
+    head sampling plus always-keep anomalies instead (the
     streaming-scale policy).
     """
 
-    VLRT_TRACE_THRESHOLD = 3.0
-
-    def __init__(self, sim, fabric, entry, app, log, keep_traces="vlrt"):
-        if isinstance(keep_traces, TraceSampler):
-            self.sampler = keep_traces
-        elif keep_traces in (None, "vlrt", "all"):
-            self.sampler = None
-        else:
-            raise ValueError(f"keep_traces must be None/'vlrt'/'all' or a "
-                             f"TraceSampler, got {keep_traces!r}")
+    def __init__(self, sim, fabric, entry, app, log, sampler=None):
         self.sim = sim
         self.fabric = fabric
         self.entry = entry
         self.app = app
         self.log = log
-        self.keep_traces = keep_traces
+        self.sampler = sampler
         self.issued = 0
-
-    def _kept_trace(self, request, failed):
-        if self.keep_traces == "all":
-            return request.trace
-        if self.keep_traces == "vlrt":
-            slow = (self.sim.now - request.created_at) > self.VLRT_TRACE_THRESHOLD
-            if failed or slow:
-                return request.trace
-        return None
 
     def _perform(self, spec):
         """Generator: issue one interaction, wait, record the outcome."""
         request = Request(spec.name, spec.name, self.sim.now)
         self.issued += 1
-        entry = self.entry
-        if hasattr(entry, "send"):
-            # a ReplicaGroup entry: balancing/hedging across front-tier
-            # replicas; returns an exchange-like HedgedCall
-            exchange = entry.send(self.fabric, request)
-        else:
-            exchange = self.fabric.send(entry, request)
+        exchange = self.entry.send(self.fabric, request)
         failed = False
         error = None
         try:
@@ -100,7 +66,7 @@ class _GeneratorBase:
         except ConnectionTimeout as exc:
             failed = True
             error = str(exc)
-        drops, sheds = _faults_from_trace(request)
+        drops, sheds = faults_from_trace(request.trace)
         record = RequestRecord(
             request.id,
             spec.name,
@@ -114,8 +80,8 @@ class _GeneratorBase:
         )
         if self.sampler is not None:
             self.sampler.observe(record, request.trace)
-        else:
-            record.trace = self._kept_trace(request, failed)
+        elif failed or self.sim.now - request.created_at > VLRT_THRESHOLD:
+            record.trace = request.trace
         self.log.add(record)
 
 
@@ -135,13 +101,12 @@ class ClosedLoopPopulation(_GeneratorBase):
 
     def __init__(self, sim, fabric, entry, app, log, clients,
                  think_mean=7.0, modulator=None, rng_label="clients",
-                 keep_traces="vlrt"):
+                 sampler=None):
         if clients < 1:
             raise ValueError(f"clients must be >= 1, got {clients}")
         if think_mean <= 0:
             raise ValueError(f"think_mean must be positive, got {think_mean}")
-        super().__init__(sim, fabric, entry, app, log,
-                         keep_traces=keep_traces)
+        super().__init__(sim, fabric, entry, app, log, sampler=sampler)
         self.clients = clients
         self.think_mean = think_mean
         self.modulator = modulator
@@ -180,11 +145,10 @@ class OpenLoopPoisson(_GeneratorBase):
     """Open-loop Poisson arrivals at ``rate`` requests/second."""
 
     def __init__(self, sim, fabric, entry, app, log, rate,
-                 rng_label="open-loop", keep_traces="vlrt"):
+                 rng_label="open-loop", sampler=None):
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
-        super().__init__(sim, fabric, entry, app, log,
-                         keep_traces=keep_traces)
+        super().__init__(sim, fabric, entry, app, log, sampler=sampler)
         self.rate = rate
         self.rng = sim.fork_rng(rng_label)
         self._started = False
@@ -217,15 +181,14 @@ class MmppOpenLoop(_GeneratorBase):
 
     def __init__(self, sim, fabric, entry, app, log, normal_rate,
                  burst_rate, burst_duration=0.5, normal_duration=14.0,
-                 rng_label="mmpp", keep_traces="vlrt"):
+                 rng_label="mmpp", sampler=None):
         if normal_rate < 0 or burst_rate <= 0:
             raise ValueError("rates must be positive (normal may be 0)")
         if burst_rate <= normal_rate:
             raise ValueError("burst_rate must exceed normal_rate")
         if burst_duration <= 0 or normal_duration <= 0:
             raise ValueError("state durations must be positive")
-        super().__init__(sim, fabric, entry, app, log,
-                         keep_traces=keep_traces)
+        super().__init__(sim, fabric, entry, app, log, sampler=sampler)
         self.normal_rate = normal_rate
         self.burst_rate = burst_rate
         self.burst_duration = burst_duration
@@ -286,11 +249,10 @@ class ScriptedBurst(_GeneratorBase):
     """
 
     def __init__(self, sim, fabric, entry, app, log, times, batch_size,
-                 operation="ViewStory", keep_traces="vlrt"):
+                 operation="ViewStory", sampler=None):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        super().__init__(sim, fabric, entry, app, log,
-                         keep_traces=keep_traces)
+        super().__init__(sim, fabric, entry, app, log, sampler=sampler)
         self.times = sorted(times)
         self.batch_size = batch_size
         self.operation = operation
@@ -299,7 +261,7 @@ class ScriptedBurst(_GeneratorBase):
     @classmethod
     def periodic(cls, sim, fabric, entry, app, log, period, until,
                  batch_size, operation="ViewStory", offset=None,
-                 keep_traces="vlrt"):
+                 sampler=None):
         """Bursts every ``period`` seconds until ``until``."""
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
@@ -310,7 +272,7 @@ class ScriptedBurst(_GeneratorBase):
             times.append(t)
             t += period
         return cls(sim, fabric, entry, app, log, times, batch_size,
-                   operation=operation, keep_traces=keep_traces)
+                   operation=operation, sampler=sampler)
 
     def start(self):
         if self._started:

@@ -146,7 +146,7 @@ class ArrayOpenLoop(_GeneratorBase):
     def __init__(self, sim, fabric, entry, app, log, rate,
                  distribution="poisson", shape=2.5, sigma=1.0,
                  max_requests=None, horizon=None, batch_size=BATCH_SIZE,
-                 rng_label="open-loop-array", keep_traces="vlrt"):
+                 rng_label="open-loop-array", sampler=None):
         _validate(distribution, rate, shape, sigma)
         if max_requests is not None and max_requests < 1:
             raise ValueError(
@@ -154,8 +154,7 @@ class ArrayOpenLoop(_GeneratorBase):
             )
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        super().__init__(sim, fabric, entry, app, log,
-                         keep_traces=keep_traces)
+        super().__init__(sim, fabric, entry, app, log, sampler=sampler)
         self.rate = rate
         self.distribution = distribution
         self.shape = shape

@@ -1,10 +1,10 @@
 """Budgeted trace sampling: representative traces at streaming scale.
 
-The generators' original ``keep_traces`` switch is all-or-anomalous:
-``"all"`` is memory-unbounded at 10^6 requests and ``"vlrt"`` keeps
-*only* pathological traces, so a streaming run has no exemplar of what
-a normal request's path even looks like.  :class:`TraceSampler` is the
-composable replacement, built from three policies:
+Without a sampler the generators keep a trace only for a failed or
+VLRT-slow request, so a streaming run has no exemplar of what a normal
+request's path even looks like, and keeping every trace would be
+memory-unbounded at 10^6 requests.  :class:`TraceSampler` is the
+composable alternative, built from three policies:
 
 **Head sampling** — a request's trace is kept with probability
 ``rate``, decided by hashing the request id (sha256, like the repo's
@@ -15,8 +15,8 @@ records are provably unaffected.
 
 **Always-keep anomalies** — failed, dropped, shed, and VLRT-slow
 requests keep their traces regardless of the hash, preserving the
-``"vlrt"`` policy's guarantee that every post-mortem-worthy trace
-survives (until the budget forces eviction, which is accounted).
+no-sampler guarantee that every post-mortem-worthy trace survives
+(until the budget forces eviction, which is accounted).
 
 **Hard retention budget** — at most ``budget`` traces are referenced
 at any moment.  Admitting one past the budget evicts the *oldest
@@ -26,8 +26,7 @@ evicted record's ``trace`` reference and is counted, so memory is
 bounded by ``budget`` × trace size and the heartbeat can report
 exactly what was lost.
 
-Pass an instance as the generators' ``keep_traces`` argument (the
-legacy ``None``/``"vlrt"``/``"all"`` strings still work unchanged).
+Pass an instance as the generators' ``sampler`` argument.
 """
 
 from __future__ import annotations

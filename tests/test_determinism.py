@@ -124,11 +124,11 @@ def test_fork_rng_is_unaffected_by_global_random_state():
 # builder seed-propagation validation
 # ----------------------------------------------------------------------
 def test_build_replicated_rejects_mismatched_sim_seed():
-    from repro.experiments.replication import build_replicated
-    from repro.topology.configs import SystemConfig
+    from repro.topology import SystemConfig, build_system
 
     with pytest.raises(ValueError, match="seed"):
-        build_replicated(SystemConfig(nx=0, seed=1), sim=Simulator(seed=2))
+        build_system(SystemConfig(nx=0, seed=1, app_replicas=2),
+                     sim=Simulator(seed=2))
 
 
 def test_build_system_rejects_mismatched_sim_seed():
@@ -153,9 +153,8 @@ def test_build_consolidated_pair_rejects_mismatched_sim_seed():
 
 
 def test_build_replicated_accepts_matching_sim_seed():
-    from repro.experiments.replication import build_replicated
-    from repro.topology.configs import SystemConfig
+    from repro.topology import SystemConfig, build_system
 
-    system = build_replicated(SystemConfig(nx=0, seed=5),
-                              sim=Simulator(seed=5))
-    assert system["sim"].seed == 5
+    system = build_system(SystemConfig(nx=0, seed=5, app_replicas=2),
+                          sim=Simulator(seed=5))
+    assert system.sim.seed == 5

@@ -8,7 +8,7 @@ same jobs must reproduce those records exactly — same event order,
 same RNG streams, same summaries — or the policy decomposition has
 changed simulation behaviour.
 
-The fast test replays one representative full-system job; the slow
+The fast test replays two representative full-system jobs; the slow
 one replays the entire golden set through the parallel engine (the
 same command that generated the file).
 """
@@ -38,10 +38,20 @@ def golden():
         return json.load(handle)
 
 
-def test_fig03_quick_record_matches_golden(golden):
-    """One full 3-tier consolidation run, byte-compared to the record
-    written by the pre-refactor Sync/Async server classes."""
-    job = JobConfig(name="fig03", seed=42, duration=18.0)
+#: quick registry jobs replayed in the fast loop: one full 3-tier
+#: consolidation run, and the replicated 3-tier system behind a
+#: round-robin ReplicaGroup
+FAST_REPLAYS = {
+    "fig03": JobConfig(name="fig03", seed=42, duration=18.0),
+    "replication": JobConfig(name="replication", seed=42, duration=18.0,
+                             params={"replicas": [2]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_REPLAYS))
+def test_quick_record_matches_golden(golden, name):
+    """One quick registry job, byte-compared to its golden record."""
+    job = FAST_REPLAYS[name]
     record = execute_job(job)
     assert record == golden[job_id(job)]
 

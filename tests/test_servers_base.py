@@ -6,6 +6,7 @@ from repro.apps.servlet import Call, Compute, Request
 from repro.cpu import Host
 from repro.net import NetworkFabric
 from repro.servers import AsyncServer, ServerStats, SyncServer
+from repro.servers.replica import ReplicaGroup
 from repro.sim import Simulator
 
 
@@ -235,7 +236,9 @@ def test_round_robin_alternates_replicas(sim, fabric):
 
     front = SyncServer(sim, fabric, "front", make_vm(sim, "front"),
                        handler, threads=8)
-    front.connect("app", [replica_a.listener, replica_b.listener])
+    front.connect("app", ReplicaGroup(
+        sim, "front->app", [replica_a.listener, replica_b.listener],
+    ))
     for i in range(10):
         send_one(sim, fabric, front.listener, f"r{i}")
     sim.run()
@@ -246,8 +249,29 @@ def test_round_robin_alternates_replicas(sim, fabric):
 def test_empty_replica_list_rejected(sim, fabric):
     server = SyncServer(sim, fabric, "s", make_vm(sim), noop_handler,
                         threads=1)
-    with pytest.raises(ValueError):
+    # a route is a Listener or a ReplicaGroup, checked at wiring time
+    with pytest.raises(TypeError):
         server.connect("app", [])
+    with pytest.raises(ValueError):
+        ReplicaGroup(sim, "s->app", [])
+
+
+def test_connect_rejects_anything_but_a_listener_or_group(sim, fabric):
+    server = SyncServer(sim, fabric, "s", make_vm(sim, "s"), noop_handler,
+                        threads=1)
+    other = SyncServer(sim, fabric, "o", make_vm(sim, "o"), noop_handler,
+                       threads=1)
+    # the server instead of its listener, a name, a tuple of listeners:
+    # each fails at wiring, not at the first call
+    for bad in (other, "o", (other.listener,)):
+        with pytest.raises(TypeError, match="Listener or a ReplicaGroup"):
+            server.connect("o", bad)
+    assert server.downstream == {} and server._routes == {}
+    group = ReplicaGroup(sim, "s->o", [other.listener])
+    with pytest.raises(ValueError, match="pool_size must be None"):
+        server.connect("o", group, pool_size=2)
+    assert server.connect("o", group) is server
+    assert server.downstream["o"] is group
 
 
 def test_single_listener_still_works_via_connect(sim, fabric):

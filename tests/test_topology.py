@@ -304,16 +304,16 @@ def test_replicated_route_groups_and_pools():
         "apache1->app", "apache2->app",
         "tomcat1->db", "tomcat2->db", "tomcat3->db",
     ]
-    assert system.entry is system.client_group
-    assert system.client_group is system.groups["clients->web"]
+    assert system.entry is system.groups["clients->web"]
     for index, web in enumerate(system.servers["web"]):
         assert web.downstream["app"] is system.groups[f"apache{index + 1}->app"]
     db_listeners = [server.listener for server in system.servers["db"]]
     for label, group in system.groups.items():
         if label.endswith("->db"):
             # the JDBC pool is per replica inside the caller's group
-            assert [(pool.listener, pool.size) for pool in group.pools] == [
-                (listener, 4) for listener in db_listeners
+            assert [(pool.name, pool.capacity) for pool in group.pools] == [
+                (f"{label}->{listener.name}.pool", 4)
+                for listener in db_listeners
             ]
         else:
             assert group.pools is None
@@ -331,7 +331,7 @@ def test_replicated_hedging_only_on_replicated_routes():
     db_listener = system.servers["db"][0].listener
     for app in system.servers["app"]:
         # plain route into the single MySQL: pooled, not hedged
-        assert app.downstream["db"].listeners == [db_listener]
+        assert app.downstream["db"] is db_listener
         assert app.pools["db"].capacity == 4
 
 

@@ -130,7 +130,7 @@ def test_counters_schema():
 
 
 # ----------------------------------------------------------------------
-# generator integration: sampler as the keep_traces policy
+# generator integration: the sampler decides which traces are kept
 # ----------------------------------------------------------------------
 def tiny_config(**overrides):
     defaults = dict(
@@ -192,29 +192,22 @@ def test_scenario_sampling_follows_the_hash_exactly():
         assert (rec.trace is not None) == expect
 
 
-def build_population(keep_traces):
+def build_population(sampler=None):
     from repro.topology.builder import build_system
     from repro.workload.generators import ClosedLoopPopulation
 
     system = build_system(tiny_config())
     return ClosedLoopPopulation(
         system.sim, system.fabric, system.entry, system.app, system.log,
-        clients=10, think_mean=1.0, keep_traces=keep_traces,
+        clients=10, think_mean=1.0, sampler=sampler,
     )
 
 
 def test_generator_accepts_sampler_and_legacy_strings():
     sampler = TraceSampler(rate=0.5)
     assert build_population(sampler).sampler is sampler
-    for policy in (None, "vlrt", "all"):
-        population = build_population(policy)
-        assert population.sampler is None
-        assert population.keep_traces == policy
-
-
-def test_generator_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        build_population("sometimes")
+    # no sampler: the built-in failed-or-VLRT rule keeps the traces
+    assert build_population().sampler is None
 
 
 def test_legacy_string_policies_still_work():

@@ -49,6 +49,8 @@ __all__ = [
     "callback_form",
 ]
 
+_INF = float("inf")
+
 
 class ServletError(Exception):
     """A downstream call failed (dropped beyond retries, or error reply).
@@ -65,8 +67,11 @@ class Compute:
     __slots__ = ("work",)
 
     def __init__(self, work):
-        if work < 0:
-            raise ValueError(f"negative compute work {work!r}")
+        # False for negative, infinite and NaN work alike
+        if not 0.0 <= work < _INF:
+            raise ValueError(
+                f"compute work must be finite and non-negative, got {work!r}"
+            )
         self.work = work
 
     def __repr__(self):

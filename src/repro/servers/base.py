@@ -6,19 +6,28 @@ and wiring to its downstream tiers.  One table,
 (:mod:`repro.apps.servlet`): each handler returns the value the servlet
 resumes with at once, or an event to wait on (a downstream call in
 flight, a gather barrier, a single-flight cache fill, a storage
-command).  The two drivers differ only in how they wait:
+command).
 
-- the thread driver (:meth:`BaseServer._drive`, run by the thread pool
-  of a :class:`~repro.servers.sync_server.SyncServer`) yields the event
-  and so **blocks** its thread (RPC semantics — the paper's
-  Apache/Tomcat/MySQL), while
-- the event loop (:class:`~repro.servers.policies.EventLoopConcurrency`
-  of an :class:`~repro.servers.async_server.AsyncServer`) parks the
-  continuation on the event and frees its worker (event-driven
-  semantics — Nginx/XTomcat/XMySQL).
+A server thread and an event-loop worker are both a
+:class:`ServletDriver`: a small callback object, not a simulated
+process.  Its one continuation loop (:meth:`ServletDriver.run`) sends or
+throws into the servlet, runs :class:`Compute` inline (the CPU stage
+completes straight into the driver through
+:meth:`~repro.cpu.host.Vm.submit`) and every other instruction through
+the table, and returns whenever it has to wait, leaving a bound method
+as the callback that continues it.  The two drivers differ only in how
+they wait on a handler's event and in their finish bookkeeping
+(:mod:`repro.servers.policies`):
 
-:class:`Compute` stays outside the table: it holds the executor, so
-each driver runs it inline.
+- a server thread (:class:`~repro.servers.policies.ThreadPoolConcurrency`
+  of a :class:`~repro.servers.sync_server.SyncServer`) resumes itself
+  when the event settles and so **blocks**: it holds its thread through
+  the wait (RPC semantics — the paper's Apache/Tomcat/MySQL), while
+- an event-loop worker
+  (:class:`~repro.servers.policies.EventLoopConcurrency` of an
+  :class:`~repro.servers.async_server.AsyncServer`) parks the
+  continuation (:class:`_Task`) on the event and takes the next ready
+  one (event-driven semantics — Nginx/XTomcat/XMySQL).
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ from ..apps.servlet import (
     Call,
     Compute,
     Gather,
-    Response,
     ServletContext,
     ServletError,
     StorageRead,
@@ -47,6 +55,7 @@ __all__ = [
     "BaseServer",
     "DownstreamCall",
     "ServerStats",
+    "ServletDriver",
     "unknown_instruction",
 ]
 
@@ -162,13 +171,179 @@ INSTRUCTION_HANDLERS = {
 
 def unknown_instruction(name, step):
     """The ``TypeError`` a driver raises when a servlet yields something
-    that is no instruction — a programming error that kills the worker,
-    not the server."""
+    that is no instruction — a programming error, so it is not turned
+    into an error reply: it propagates out of the kernel callback that
+    resumed the driver and stops :meth:`~repro.sim.kernel.Simulator.run`."""
     kinds = ", ".join(cls.__name__
                       for cls in (Compute, *INSTRUCTION_HANDLERS))
     return TypeError(
         f"{name}: servlet yielded {step!r}, expected one of {kinds}"
     )
+
+
+class _Task:
+    """One admitted request's continuation: its servlet, and — while an
+    event-loop worker has it parked — the outcome to resume it with.
+
+    ``ready`` is the event loop's ready queue (``None`` on a server
+    thread, which never parks a task).
+    """
+
+    __slots__ = ("exchange", "request", "send", "throw", "send_value",
+                 "throw_value", "ready")
+
+    def __init__(self, server, exchange, ready=None):
+        self.exchange = exchange
+        self.request = request = exchange.payload
+        gen = server.handler(server.ctx, request)
+        # bound once per request: the loop resumes once per instruction
+        self.send = gen.send
+        self.throw = gen.throw
+        self.send_value = None
+        self.throw_value = None
+        self.ready = ready
+
+    def settle(self, event):
+        """Keep ``event``'s outcome for the servlet: its value, or its
+        exception to throw in."""
+        if event._state == _FAILED:
+            self.send_value = None
+            self.throw_value = event._value
+        else:
+            self.send_value = event._value
+            self.throw_value = None
+
+    def resume(self, event):
+        """Callback of the event the continuation is parked on: keep its
+        outcome and re-enqueue the task."""
+        self.settle(event)
+        self.ready.put(self)
+
+
+class ServletDriver:
+    """One server thread or event-loop worker: a callback object that
+    takes tasks from ``source`` (a :class:`~repro.sim.resources.Store`)
+    and runs their servlets through the one continuation loop,
+    :meth:`run`.
+
+    Subclasses supply the differences between the drivers:
+
+    - ``_adopt(item)`` turns a taken item into the :class:`_Task` to
+      run;
+    - ``_wait(task, event)`` decides what the driver does about the
+      event an instruction handler returned, and returns the task to
+      run next (``None``: the driver waits for a callback);
+    - ``_succeeded(task, value)`` and ``_failed(task, error)`` do the
+      finish bookkeeping of a servlet that returned or raised
+      :class:`ServletError`.
+
+    The first take runs on a fresh zero-delay kernel tick, exactly as a
+    simulated process starts, so a driver's entries keep the kernel
+    order of the generator process it replaces.
+    """
+
+    __slots__ = ("server", "source", "task", "_submit", "_cpu_done",
+                 "_took")
+
+    def __init__(self, server, source):
+        self.server = server
+        self.source = source
+        #: the task this driver runs or waits for; None when idle
+        self.task = None
+        self._submit = server.vm.submit
+        # bound once, not once per wait (the driver lives for the run)
+        self._cpu_done = self._resume_cpu
+        self._took = self._on_take
+        server.sim.call_in(0.0, self._start)
+
+    def _start(self):
+        task = self._next()
+        if task is not None:
+            self.run(task, task.send_value, task.throw_value)
+
+    def _next(self):
+        """The next task to run, or ``None`` once the driver waits for
+        one (the take then calls :meth:`_on_take`)."""
+        source = self.source
+        items = source.items
+        if items:
+            # what ``get`` would hand over at once, minus its grant
+            return self._adopt(items.popleft())
+        self.task = None
+        source.get().add_callback(self._took)
+        return None
+
+    def _on_take(self, grant):
+        task = self._adopt(grant._value)
+        self.run(task, task.send_value, task.throw_value)
+
+    def _resume_cpu(self):
+        """The task's CPU stage finished: continue its servlet."""
+        self.run(self.task, None, None)
+
+    def run(self, task, value, error):
+        """Continue ``task``'s servlet with ``value`` (or by throwing
+        ``error`` into it), task after task, until the driver has to
+        wait."""
+        server = self.server
+        handlers = INSTRUCTION_HANDLERS
+        while True:
+            try:
+                if error is None:
+                    step = task.send(value)
+                else:
+                    try:
+                        step = task.throw(error)
+                    finally:
+                        # the traceback holds this loop's frame, whose
+                        # caller may hold the failed event holding the
+                        # error: dropped, the error, the frames and the
+                        # request are freed by reference counting
+                        error.__traceback__ = None
+                    error = None
+            except StopIteration as stop:
+                value = stop.value
+                error = None
+            except ServletError as exc:
+                exc.__traceback__ = None  # as above
+                error = exc
+            else:
+                cls = step.__class__
+                if cls is Compute:
+                    self.task = task
+                    if self._submit(step.work, self._cpu_done):
+                        return
+                    value = None  # zero work: done at once
+                    continue
+                handler = handlers.get(cls)
+                if handler is None:
+                    raise unknown_instruction(server.name, step)
+                try:
+                    value = handler(server, step, task.request)
+                except ServletError as exc:
+                    error = exc
+                    value = None
+                    continue
+                if not isinstance(value, Event):
+                    continue
+                task = self._wait(task, value)
+                if task is None:
+                    return
+                value = task.send_value
+                error = task.throw_value
+                continue
+            # the servlet ended: finish it (outside the except clauses,
+            # so no exception raised by what the reply sets off chains
+            # to the caught one) and take the next task
+            if error is None:
+                self._succeeded(task, value)
+            else:
+                self._failed(task, error)
+            task = self._next()
+            if task is None:
+                return
+            value = task.send_value
+            error = task.throw_value
 
 
 class DownstreamCall(SlimEvent):
@@ -262,7 +437,8 @@ class DownstreamCall(SlimEvent):
 
 
 class BaseServer:
-    """Wiring and the servlet driver; see module docstring.
+    """Wiring, routes and the queue-depth gauge of a server; its
+    concurrency policy runs the servlets (see the module docstring).
 
     Parameters
     ----------
@@ -379,70 +555,6 @@ class BaseServer:
         depth = self.queue_depth()
         if depth > self.stats.peak_queue_depth:
             self.stats.peak_queue_depth = depth
-
-    # ------------------------------------------------------------------
-    # the thread driver
-    # ------------------------------------------------------------------
-    def _drive(self, exchange):
-        """Generator running one request's servlet to completion.
-
-        Yields the events the instructions wait on (CPU completions,
-        downstream calls, barriers) while the calling thread stays held;
-        see the module docstring.
-        """
-        # locals bound once per request: the loop below resumes for every
-        # instruction of every request on every tier
-        sim = self.sim
-        name = self.name
-        request = exchange.payload
-        request.record(sim.now, "start", name)
-        gen = self.handler(self.ctx, request)
-        send = gen.send
-        throw = gen.throw
-        execute = self.vm.execute
-        handlers = INSTRUCTION_HANDLERS
-        to_send = None
-        to_throw = None
-        while True:
-            try:
-                if to_throw is not None:
-                    step = throw(to_throw)
-                    to_throw = None
-                else:
-                    step = send(to_send)
-            except StopIteration as stop:
-                request.record(sim.now, "reply", name)
-                exchange.reply(Response.success(stop.value))
-                self.stats.completed += 1
-                break
-            except ServletError as exc:
-                # the re-raised error's traceback holds this frame: drop
-                # the frame's references to it (and to the failed event
-                # holding it) so the frame, the error and the request
-                # are freed by reference counting, not the collector
-                to_throw = outcome = None
-                request.record(sim.now, "error", f"{name}: {exc}")
-                exchange.reply(Response.failure(str(exc)))
-                self.stats.failed += 1
-                break
-            to_send = None
-            cls = step.__class__
-            if cls is Compute:
-                yield execute(step.work)
-                continue
-            handler = handlers.get(cls)
-            if handler is None:
-                raise unknown_instruction(name, step)
-            try:
-                outcome = handler(self, step, request)
-                if isinstance(outcome, Event):
-                    outcome = yield outcome
-                to_send = outcome
-            except ServletError as exc:
-                to_throw = exc
-        observer = self.latency_observer
-        if observer is not None:
-            observer(sim.now - exchange.first_sent_at)
 
     def _invoke(self, step, request):
         """Issue one downstream call; returns the :class:`DownstreamCall`

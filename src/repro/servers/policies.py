@@ -16,18 +16,21 @@ class per design point but a composition of three orthogonal policies:
   instead of letting TCP drop and retransmit — trading silent 3-second
   stalls for fast, explicit failures.
 
-**ConcurrencyPolicy** — who runs the servlet's instructions, all
-interpreted by the one handler table in :mod:`repro.servers.base`; the
-two policies differ only in how they wait on the event a handler
-returns:
+**ConcurrencyPolicy** — who runs the servlet's instructions.  Both
+policies' drivers are :class:`~repro.servers.base.ServletDriver`
+callback objects sharing one continuation loop and the one handler
+table in :mod:`repro.servers.base`; they differ only in how they wait
+on the event a handler returns and in their finish bookkeeping:
 
-- :class:`ThreadPoolConcurrency` — a bounded pool of threads, each
-  held for a request's entire lifetime including downstream waits
-  (Apache/Tomcat/MySQL), with the optional Apache-style second
+- :class:`ThreadPoolConcurrency` — a bounded pool of threads
+  (:class:`_ServerThread`), each held for a request's entire lifetime
+  including downstream waits: the thread resumes itself when the event
+  settles (Apache/Tomcat/MySQL), with the optional Apache-style second
   process.
-- :class:`EventLoopConcurrency` — a few loop workers execute one CPU
-  stage at a time; any other wait parks the continuation and the
-  event's callback re-enqueues it (Nginx/XTomcat/XMySQL).
+- :class:`EventLoopConcurrency` — a few loop workers
+  (:class:`_LoopWorker`) execute one CPU stage at a time; any other
+  wait parks the continuation, the event's callback re-enqueues it and
+  the worker takes the next ready one (Nginx/XTomcat/XMySQL).
 
 **RemediationPolicy** — what a *caller* does about a slow or failed
 downstream call:
@@ -61,11 +64,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from math import sqrt
 
-from ..apps.servlet import Compute, Response, ServletError
+from ..apps.servlet import Response, ServletError
 from ..net.tcp import SHED
-from ..sim.events import Event
+from ..sim.events import _FAILED, _PENDING
 from ..sim.resources import Store
-from .base import INSTRUCTION_HANDLERS, DownstreamCall, unknown_instruction
+from .base import DownstreamCall, ServletDriver, _Task
 
 __all__ = [
     "AdmissionPolicy",
@@ -88,28 +91,6 @@ __all__ = [
     "build_concurrency",
     "build_remediation",
 ]
-
-
-class _Task:
-    """One admitted request's continuation state (event-loop driver)."""
-
-    __slots__ = ("exchange", "gen", "ready", "send_value", "throw_value")
-
-    def __init__(self, server, exchange):
-        self.exchange = exchange
-        self.gen = server.handler(server.ctx, exchange.payload)
-        self.ready = server._ready
-        self.send_value = None
-        self.throw_value = None
-
-    def resume(self, event):
-        """Callback of the event the continuation is parked on: keep its
-        outcome for the servlet and re-enqueue the task."""
-        if event.failed:
-            self.throw_value = event.value
-        else:
-            self.send_value = event.value
-        self.ready.put(self)
 
 
 # ======================================================================
@@ -330,12 +311,14 @@ class CoDelAdmission(SheddingAdmission):
 # concurrency
 # ======================================================================
 class ConcurrencyPolicy:
-    """Decides who executes the servlet driver.
+    """Decides who runs the servlets.
 
-    ``prepare`` installs counters/queues on the server, ``start``
-    spawns the worker processes (in that order around admission
-    binding, preserving the classic servers' construction sequence).
-    ``submit`` receives exchanges from an eager admission.
+    ``prepare`` installs counters/queues on the server and ``start``
+    creates the drivers (server threads or loop workers, each taking
+    its first task on a fresh zero-delay kernel tick), in that order
+    around admission binding, preserving the classic servers'
+    construction sequence.  ``submit`` receives exchanges from an
+    eager admission.
     """
 
     kind = None
@@ -390,7 +373,7 @@ class ThreadPoolConcurrency(ConcurrencyPolicy):
 
     def start(self, server):
         for _ in range(self.threads):
-            server.sim.process(self._worker(server))
+            _ServerThread(server)
         if self.spawn_extra_process:
             server.sim.process(self._process_spawner(server))
 
@@ -399,28 +382,6 @@ class ThreadPoolConcurrency(ConcurrencyPolicy):
 
     def busy(self, server):
         return server.busy_threads
-
-    # ------------------------------------------------------------------
-    def _worker(self, server):
-        """One server thread: take a request, drive the servlet, repeat."""
-        eager = server.admission.eager
-        source = (server._intake if eager else server.listener.accept_queue)
-        take = source.get
-        stats = server.stats
-        note_depth = server._note_queue_depth
-        drive = server._drive
-        while True:
-            exchange = yield take()
-            if not eager:
-                stats.arrivals += 1
-            server.busy_threads += 1
-            note_depth()
-            try:
-                yield from drive(exchange)
-            finally:
-                server.busy_threads -= 1
-                if eager:
-                    server._task_done()
 
     def _process_spawner(self, server):
         """Watch for sustained thread exhaustion; spawn a second process.
@@ -447,7 +408,76 @@ class ThreadPoolConcurrency(ConcurrencyPolicy):
         server.processes += 1
         server.thread_capacity += server.threads_per_process
         for _ in range(server.threads_per_process):
-            server.sim.process(self._worker(server))
+            _ServerThread(server)
+
+
+class _ServerThread(ServletDriver):
+    """One server thread: take a request, run its servlet holding the
+    thread through every wait, reply, take the next.
+
+    With pull admission it accepts from the kernel backlog; with an
+    eager admission it takes from the server's intake store.
+    """
+
+    __slots__ = ("_event_done", "eager")
+
+    def __init__(self, server):
+        self.eager = eager = server.admission.eager
+        self._event_done = self._resume_event
+        ServletDriver.__init__(
+            self, server,
+            server._intake if eager else server.listener.accept_queue,
+        )
+
+    def _adopt(self, exchange):
+        server = self.server
+        if not self.eager:
+            server.stats.arrivals += 1
+        server.busy_threads += 1
+        server._note_queue_depth()
+        exchange.payload.record(server.sim.now, "start", server.name)
+        return _Task(server, exchange)
+
+    def _wait(self, task, event):
+        if event._state != _PENDING:
+            # settled already (a call that failed at once): go on with
+            # its outcome without waiting
+            task.settle(event)
+            return task
+        # block: the thread stays held until the event resumes it
+        self.task = task
+        event.add_callback(self._event_done)
+        return None
+
+    def _resume_event(self, event):
+        if event._state == _FAILED:
+            self.run(self.task, None, event._value)
+        else:
+            self.run(self.task, event._value, None)
+
+    def _succeeded(self, task, value):
+        server = self.server
+        task.request.record(server.sim.now, "reply", server.name)
+        task.exchange.reply(Response.success(value))
+        server.stats.completed += 1
+        self._release(task)
+
+    def _failed(self, task, error):
+        server = self.server
+        task.request.record(server.sim.now, "error",
+                            f"{server.name}: {error}")
+        task.exchange.reply(Response.failure(str(error)))
+        server.stats.failed += 1
+        self._release(task)
+
+    def _release(self, task):
+        server = self.server
+        observer = server.latency_observer
+        if observer is not None:
+            observer(server.sim.now - task.exchange.first_sent_at)
+        server.busy_threads -= 1
+        if self.eager:
+            server._task_done()
 
 
 class EventLoopConcurrency(ConcurrencyPolicy):
@@ -472,66 +502,42 @@ class EventLoopConcurrency(ConcurrencyPolicy):
 
     def start(self, server):
         for _ in range(self.workers):
-            server.sim.process(self._worker(server))
+            _LoopWorker(server, server._ready)
 
     def submit(self, server, exchange):
-        server._ready.put(_Task(server, exchange))
+        ready = server._ready
+        ready.put(_Task(server, exchange, ready))
 
     def busy(self, server):
         return server.inflight
 
-    # ------------------------------------------------------------------
-    def _worker(self, server):
-        """One loop worker: run ready continuations, one CPU stage at a
-        time; never blocks on downstream calls."""
-        ready = server._ready
-        execute = server.vm.execute
-        stats = server.stats
-        finish = server._finish
-        handlers = INSTRUCTION_HANDLERS
-        while True:
-            task = yield ready.get()
-            gen = task.gen
-            send = gen.send
-            throw = gen.throw
-            request = task.exchange.payload
-            while True:
-                try:
-                    throw_value = task.throw_value
-                    if throw_value is not None:
-                        task.throw_value = None
-                        step = throw(throw_value)
-                    else:
-                        step = send(task.send_value)
-                except StopIteration as stop:
-                    finish(task, Response.success(stop.value))
-                    break
-                except ServletError as exc:
-                    stats.failed += 1
-                    finish(task, Response.failure(str(exc)),
-                           count_completed=False)
-                    break
-                task.send_value = None
-                cls = step.__class__
-                if cls is Compute:
-                    # the loop worker executes the stage itself
-                    yield execute(step.work)
-                    continue
-                handler = handlers.get(cls)
-                if handler is None:
-                    raise unknown_instruction(server.name, step)
-                try:
-                    outcome = handler(server, step, request)
-                except ServletError as exc:
-                    task.throw_value = exc
-                    continue
-                if isinstance(outcome, Event):
-                    # a call that failed at once (no route, open breaker)
-                    # is settled already: resume then runs at once and
-                    # re-enqueues the task behind the other ready ones
-                    outcome.add_callback(task.resume)
-                    break  # continuation parked
-                task.send_value = outcome
+
+
+class _LoopWorker(ServletDriver):
+    """One event-loop worker: run ready continuations, one CPU stage at
+    a time; never blocks on downstream calls."""
+
+    __slots__ = ()
+
+    def _adopt(self, task):
+        return task
+
+    def _wait(self, task, event):
+        # park the continuation: the event's callback re-enqueues it.  A
+        # call that failed at once (no route, open breaker) is settled
+        # already, so resume runs at once and re-enqueues the task
+        # behind the other ready ones
+        event.add_callback(task.resume)
+        return self._next()
+
+    def _succeeded(self, task, value):
+        self.server._finish(task, Response.success(value))
+
+    def _failed(self, task, error):
+        server = self.server
+        server.stats.failed += 1
+        server._finish(task, Response.failure(str(error)),
+                       count_completed=False)
 
 
 # ======================================================================

@@ -21,7 +21,7 @@ that preset-composed systems replay *byte-identically* against the
 pre-refactor golden records: kernel wiring first (listener + RNG
 fork), then concurrency state (the ``<name>.events`` store for event
 loops), then the admission acceptor, then remediation's invoker
-rebinding, and worker processes last.
+rebinding, and the server threads or loop workers last.
 """
 
 from __future__ import annotations

@@ -72,6 +72,8 @@ _PRIORITY_STRIDE = 1 << 52
 _BUCKET_WIDTH = 2.0 ** -9
 _WHEEL_BUCKETS = 4096
 
+_INF = float("inf")
+
 
 class Simulator:
     """A deterministic discrete-event simulator (calendar-queue kernel).
@@ -147,8 +149,8 @@ class Simulator:
     # scheduling
     # ------------------------------------------------------------------
     def _scheduling_error(self, what):
-        """Shared constructor for past-scheduling errors (one message
-        shape for ``call_at`` and ``call_in``)."""
+        """Shared constructor for scheduling errors (one message shape
+        for ``call_at`` and ``call_in``)."""
         return ValueError(
             f"cannot schedule {what}: current time is {self.now}"
         )
@@ -156,11 +158,12 @@ class Simulator:
     def call_at(self, when, callback, *args, priority=0):
         """Schedule ``callback(*args)`` at absolute simulated time ``when``.
 
-        Scheduling in the past is an error; scheduling at ``now`` runs the
-        callback later in the same instant, after already-queued entries.
-        ``priority`` breaks ties before the insertion sequence (lower runs
-        first) and is used sparingly, e.g. so monitors sample *after* the
-        instant's state changes settle.
+        Scheduling in the past, at an infinite time or at NaN is an
+        error; scheduling at ``now`` runs the callback later in the same
+        instant, after already-queued entries.  ``priority`` breaks ties
+        before the insertion sequence (lower runs first) and is used
+        sparingly, e.g. so monitors sample *after* the instant's state
+        changes settle.
         """
         if when < self.now:
             raise self._scheduling_error(f"at t={when} (in the past)")
@@ -183,8 +186,13 @@ class Simulator:
                 # append keeps it a valid single-entry heap
                 self._cursor = index
                 self._buckets[index].append((when, sequence, callback, args))
-        else:
+        elif when < _INF:
             _heappush(self._overflow, (when, sequence, callback, args))
+        else:
+            # NaN and +inf fail every comparison above and land here, off
+            # the hot path: an entry beyond every window would make
+            # ``run(until=...)`` roll the window forever
+            raise self._scheduling_error(f"at t={when} (not a finite time)")
 
     def call_in(self, delay, callback, *args, priority=0):
         """Schedule ``callback(*args)`` after ``delay`` seconds.
@@ -192,6 +200,7 @@ class Simulator:
         Pushes the entry directly instead of re-wrapping the call
         through :meth:`call_at` — this is the kernel's hottest entry
         point (every timeout, service completion and network hop).
+        ``delay`` must be finite and non-negative.
         """
         if delay < 0:
             raise self._scheduling_error(f"a negative delay ({delay!r})")
@@ -211,8 +220,11 @@ class Simulator:
             else:
                 self._cursor = index
                 self._buckets[index].append((when, sequence, callback, args))
-        else:
+        elif when < _INF:
             _heappush(self._overflow, (when, sequence, callback, args))
+        else:
+            # a NaN or infinite delay (see call_at)
+            raise self._scheduling_error(f"a non-finite delay ({delay!r})")
 
     def call_at_batch(self, times, callback):
         """Schedule ``callback()`` (no arguments) at each time in
@@ -250,8 +262,12 @@ class Simulator:
                     else:
                         self._cursor = index
                         buckets[index].append((when, sequence, callback, ()))
-                else:
+                elif when < _INF:
                     push(overflow, (when, sequence, callback, ()))
+                else:
+                    raise self._scheduling_error(
+                        f"at t={when} (not a finite time)"
+                    )
         finally:
             self._sequence = sequence
 

@@ -41,7 +41,7 @@ from ..apps.servlet import (
 )
 from ..cpu.host import Host
 from ..metrics.monitor import SystemMonitor
-from ..metrics.trace import RequestLog, RequestRecord, faults_from_trace
+from ..metrics.trace import RequestLog, log_request
 from ..net.tcp import ConnectionTimeout, NetworkFabric
 from ..servers.cache import LruCache
 from ..servers.policies import TierPolicy
@@ -580,15 +580,8 @@ class GraphSystem(ServiceSystem):
         except ConnectionTimeout as exc:
             failed = True
             error = str(exc)
-        drops, sheds = faults_from_trace(request.trace)
-        self.log.add(
-            RequestRecord(
-                request.id, self.request_kind,
-                start=request.created_at, end=self.sim.now,
-                attempts=exchange.attempts, drops=drops, sheds=sheds,
-                failed=failed, error=error,
-            )
-        )
+        log_request(self.log, request, self.request_kind, self.sim.now,
+                    exchange.attempts, failed, error)
 
     def __repr__(self):
         return f"<GraphSystem {self.graph!r}>"

@@ -18,7 +18,7 @@ packets were dropped beyond the retransmission limit.
 from __future__ import annotations
 
 from ..apps.servlet import Request
-from ..metrics.trace import VLRT_THRESHOLD, RequestRecord, faults_from_trace
+from ..metrics.trace import log_request
 from ..net.tcp import ConnectionTimeout
 
 __all__ = ["ClosedLoopPopulation", "MmppOpenLoop", "OpenLoopPoisson",
@@ -66,23 +66,8 @@ class _GeneratorBase:
         except ConnectionTimeout as exc:
             failed = True
             error = str(exc)
-        drops, sheds = faults_from_trace(request.trace)
-        record = RequestRecord(
-            request.id,
-            spec.name,
-            start=request.created_at,
-            end=self.sim.now,
-            attempts=exchange.attempts,
-            drops=drops,
-            sheds=sheds,
-            failed=failed,
-            error=error,
-        )
-        if self.sampler is not None:
-            self.sampler.observe(record, request.trace)
-        elif failed or self.sim.now - request.created_at > VLRT_THRESHOLD:
-            record.trace = request.trace
-        self.log.add(record)
+        log_request(self.log, request, spec.name, self.sim.now,
+                    exchange.attempts, failed, error, self.sampler)
 
 
 class ClosedLoopPopulation(_GeneratorBase):

@@ -17,7 +17,7 @@ replayed on the reference kernel in-process or in forked workers.
 
 import heapq
 
-from repro.sim.kernel import _PRIORITY_STRIDE, Simulator
+from repro.sim.kernel import _INF, _PRIORITY_STRIDE, Simulator
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -40,6 +40,8 @@ class HeapSimulator(Simulator):
     def call_at(self, when, callback, *args, priority=0):
         if when < self.now:
             raise self._scheduling_error(f"at t={when} (in the past)")
+        if not when < _INF:
+            raise self._scheduling_error(f"at t={when} (not a finite time)")
         self._sequence = sequence = self._sequence + 1
         if priority:
             sequence += priority * _PRIORITY_STRIDE
@@ -48,6 +50,8 @@ class HeapSimulator(Simulator):
     def call_in(self, delay, callback, *args, priority=0):
         if delay < 0:
             raise self._scheduling_error(f"a negative delay ({delay!r})")
+        if not delay < _INF:
+            raise self._scheduling_error(f"a non-finite delay ({delay!r})")
         self._sequence = sequence = self._sequence + 1
         if priority:
             sequence += priority * _PRIORITY_STRIDE
@@ -63,6 +67,10 @@ class HeapSimulator(Simulator):
                 if when < now:
                     raise self._scheduling_error(
                         f"at t={when} (in the past)"
+                    )
+                if not when < _INF:
+                    raise self._scheduling_error(
+                        f"at t={when} (not a finite time)"
                     )
                 sequence += 1
                 push(heap, (when, sequence, callback, ()))

@@ -21,6 +21,13 @@ def test_compute_rejects_negative_work():
         Compute(-1.0)
 
 
+@pytest.mark.parametrize("work", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_compute_rejects_non_finite_work(work):
+    with pytest.raises(ValueError):
+        Compute(work)
+
+
 def test_request_ids_are_unique_and_increasing():
     a = Request("K", "op", 0.0)
     b = Request("K", "op", 0.0)

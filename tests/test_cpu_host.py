@@ -84,6 +84,33 @@ def test_negative_work_raises(sim):
         vm.execute(-1.0)
 
 
+@pytest.mark.parametrize("work", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_non_finite_work_raises(sim, work):
+    """NaN or infinite work would put the completion horizon out of
+    reach and stall the kernel: rejected at submission."""
+    host = Host(sim, cores=1)
+    vm = host.add_vm("vm")
+    with pytest.raises(ValueError):
+        vm.execute(work)
+    with pytest.raises(ValueError):
+        vm.submit(work, lambda: None)
+    assert vm.active_jobs == 0
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+
+
+def test_submit_calls_back_at_completion(sim):
+    host = Host(sim, cores=1)
+    vm = host.add_vm("vm")
+    done = []
+    assert vm.submit(0.5, lambda: done.append(sim.now)) is True
+    # zero work is done at once: no callback, the caller goes on
+    assert vm.submit(0.0, lambda: done.append("never")) is False
+    sim.run()
+    assert done == [pytest.approx(0.5)]
+
+
 def test_vcpu_cap_limits_vm_rate(sim):
     host = Host(sim, cores=4)
     vm = host.add_vm("vm", vcpus=1)

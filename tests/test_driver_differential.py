@@ -1,20 +1,29 @@
-"""Differential test of the two servlet drivers on random programs.
+"""Differential tests of the servlet drivers on random programs.
 
-The thread driver (``BaseServer._drive``) and the event-loop driver
-(``EventLoopConcurrency._worker``) interpret the same instruction table
-and differ only in how they wait.  Run one request at a time, a servlet
-must therefore behave identically under both: the same reply (payload
-or error text), the same call and failure counters, the same cache and
-storage effects, and every thread, admission slot and pool connection
-handed back afterwards.
+The server thread and the event-loop worker
+(:class:`repro.servers.base.ServletDriver` subclasses in
+``repro.servers.policies``) share one continuation loop and one
+instruction table, and differ only in how they wait.  Run one request
+at a time, a servlet must therefore behave identically under both: the
+same reply (payload or error text), the same call and failure counters,
+the same cache and storage effects, and every thread, admission slot
+and pool connection handed back afterwards.
+
+The callback drivers replaced generator processes, kept in
+``tests/reference_drivers.py``.  Run concurrently — 2 to 6 requests
+against fewer threads or loop workers than requests — each driver must
+match its generator-process original exactly: replies and reply times,
+root traces, server counters, gather/cache/storage counters and the
+number of kernel events executed, with every slot back to zero.
 
 Programs are straight-line sequences over all eight instructions,
 including the failure cases: an unrouted Call, a downstream that
 replies with an error, a server without a cache or storage attached,
 and steps wrapped in ``try/except ServletError``.  The fronts are the
 ``TierPolicy.sync`` and ``TierPolicy.asynchronous`` presets (the
-SyncServer and AsyncServer compositions), optionally with a
-timeout/retry/breaker remediation, which then runs on both drivers.
+SyncServer and AsyncServer compositions) plus eager admission feeding a
+thread pool, optionally with a timeout/retry/breaker remediation, which
+then runs on both drivers.
 """
 
 from hypothesis import given, settings
@@ -35,15 +44,23 @@ from repro.apps.servlet import (
 from repro.cpu import Host
 from repro.net import NetworkFabric
 from repro.servers import (
+    EagerAdmission,
+    EventLoopConcurrency,
+    KernelBacklogAdmission,
+    PolicyServer,
     RemediationSpec,
     SyncServer,
+    ThreadPoolConcurrency,
     TierPolicy,
+    TimeoutRetry,
     policy_server,
 )
 from repro.servers.cache import LruCache
 from repro.servers.gather import gather_stats
 from repro.servers.storage import WriteBackStore
 from repro.sim import Simulator
+
+from reference_drivers import ReferenceEventLoop, ReferenceThreadPool
 
 #: "db" answers, "bad" replies with an error, "ghost" is not wired
 TARGETS = st.sampled_from(["db", "bad", "ghost"])
@@ -206,3 +223,106 @@ def test_thread_and_event_loop_drivers_agree(program, cache_on, storage_on,
     thread = _run("thread", program, cache_on, storage_on, retry)
     loop = _run("eventloop", program, cache_on, storage_on, retry)
     assert thread == loop
+
+
+# ----------------------------------------------------------------------
+# the callback drivers against the generator-process drivers
+# ----------------------------------------------------------------------
+#: eager admission feeding a thread pool takes from the intake store
+FRONTS = st.sampled_from(["threads", "eager-threads", "eventloop"])
+#: client send times: simultaneous and staggered arrivals
+STARTS = st.lists(st.sampled_from([0.0, 0.0002, 0.001, 0.003]),
+                  min_size=2, max_size=6)
+
+
+def _threads(reference, threads):
+    cls = ReferenceThreadPool if reference else ThreadPoolConcurrency
+    return cls(threads=threads)
+
+
+def _front(sim, fabric, reference, front, size, servlet, retry):
+    if front == "eventloop":
+        cls = ReferenceEventLoop if reference else EventLoopConcurrency
+        admission, concurrency = EagerAdmission(64), cls(workers=size)
+    else:
+        admission = (EagerAdmission(64) if front == "eager-threads"
+                     else KernelBacklogAdmission())
+        concurrency = _threads(reference, size)
+    remediation = (TimeoutRetry(timeout=1.0, retries=1, backoff=0.01,
+                                breaker_threshold=3, breaker_reset=0.5)
+                   if retry else None)
+    return PolicyServer(sim, fabric, "front", _vm(sim, "front"), servlet,
+                        admission=admission, concurrency=concurrency,
+                        remediation=remediation)
+
+
+def _run_concurrently(reference, front, size, program, cache_on,
+                      storage_on, retry, starts):
+    """Send one request at each of ``starts`` through a front of
+    ``size`` threads or workers; the downstream tiers are thread pools
+    of the same implementation.  Returns everything the two
+    implementations must agree on."""
+    sim = Simulator(seed=5)
+    fabric = NetworkFabric(sim, latency=0.0001, rto=3.0)
+    server = _front(sim, fabric, reference, front, size,
+                    _program_servlet(program), retry)
+    db = PolicyServer(sim, fabric, "db", _vm(sim, "db"), _answer,
+                      concurrency=_threads(reference, 2))
+    bad = PolicyServer(sim, fabric, "bad", _vm(sim, "bad"), _refuse,
+                       concurrency=_threads(reference, 1))
+    server.connect("db", db.listener, pool_size=2)
+    server.connect("bad", bad.listener, pool_size=1)
+    if cache_on:
+        server.cache = LruCache(sim, capacity=4)
+    if storage_on:
+        server.storage = WriteBackStore(sim, service_time=0.001,
+                                        buffer_capacity=1)
+
+    roots = []
+    replies = []
+
+    def client(index, start):
+        yield start
+        request = Request("K", f"r{index}", sim.now)
+        roots.append((index, request))
+        response = yield fabric.send(server.listener, request).response
+        replies.append((index, sim.now, response.ok,
+                        response.value if response.ok else response.error))
+
+    for index, start in enumerate(starts):
+        sim.process(client(index, start))
+    sim.run()
+
+    assert len(replies) == len(starts)
+    # every slot handed back
+    for tier in (server, db, bad):
+        if tier.concurrency.kind == "threads":
+            assert tier.busy_threads == 0
+        assert tier.inflight == 0
+        assert len(tier.listener.accept_queue) == 0
+    if front == "eventloop":
+        assert len(server._ready) == 0
+    for pool in server.pools.values():
+        assert pool.in_use == 0
+        assert pool.queue_length == 0
+
+    return {
+        "replies": sorted(replies),
+        "traces": [request.trace for _index, request in sorted(roots)],
+        "stats": [tier.stats.snapshot() for tier in (server, db, bad)],
+        "gather": dict(gather_stats(server)),
+        "cache": server.cache.stats.snapshot() if cache_on else None,
+        "storage": server.storage.stats.snapshot() if storage_on else None,
+        "events": sim.executed_events,
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=PROGRAMS, front=FRONTS, starts=STARTS,
+       size=st.integers(1, 5), cache_on=st.booleans(),
+       storage_on=st.booleans(), retry=st.booleans())
+def test_callback_drivers_match_the_generator_drivers(
+        program, front, starts, size, cache_on, storage_on, retry):
+    size = min(size, len(starts) - 1)  # fewer slots than requests
+    args = (front, size, program, cache_on, storage_on, retry, starts)
+    assert _run_concurrently(False, *args) == _run_concurrently(True, *args)

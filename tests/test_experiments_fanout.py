@@ -77,3 +77,27 @@ def test_run_experiment_payload_is_plain_data():
     # reported as None, not failed
     assert record["outcomes"]["quorum_sheds_stalled_leg"]["holds"] is None
     assert fanout.check_claims(record) == []
+
+
+def test_fanout_tail_requests_keep_their_traces():
+    """A fan-out request keeps its trace exactly when it failed or took
+    longer than 3 s, as a workload generator's request does: every
+    VLRT request of a stalled-leaf sync 1x8 fan-out can be narrated,
+    down to the dropped packet — at the frozen leaf, or at the root
+    its blocked threads overflowed."""
+    from repro.metrics.spans import narrate
+    from repro.metrics.trace import VLRT_THRESHOLD
+
+    cell = fanout.run_one("sync", n=8, seed=42, **SCALE)
+    records = cell["result"].log.records
+    vlrt = cell["result"].log.vlrt()
+    assert vlrt
+    for record in records:
+        anomalous = record.failed or record.response_time > VLRT_THRESHOLD
+        assert (record.trace is not None) == anomalous
+    narrated = [narrate(record) for record in vlrt]
+    for text in narrated:
+        assert "no trace kept" not in text
+        assert "PACKET DROPPED at " in text
+    leaf_drop = f"PACKET DROPPED at {cell['stalled_leaf']}"
+    assert any(leaf_drop in text for text in narrated)

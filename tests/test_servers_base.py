@@ -93,23 +93,15 @@ INSTRUCTIONS = ("Compute", "Call", "Gather", "CacheGet", "CachePut",
 
 @pytest.mark.parametrize("driver", ["thread", "eventloop"])
 def test_bad_servlet_yield_type_kills_the_worker(sim, fabric, driver):
-    """A servlet yielding garbage is a programming error: the worker
-    process fails with a TypeError naming every instruction, and the
-    request never gets a reply (it is not converted into a
-    client-visible error response)."""
+    """A servlet yielding garbage is a programming error: the
+    ``TypeError`` naming the server and every instruction propagates
+    out of ``Simulator.run`` and stops the run, and the request never
+    gets a reply (it is not converted into a client-visible error
+    response)."""
 
     def bad_handler(ctx, request):
         yield "not a step"
 
-    processes = []
-    spawn = sim.process
-
-    def recording_process(generator, name=None):
-        process = spawn(generator, name=name)
-        processes.append(process)
-        return process
-
-    sim.process = recording_process
     if driver == "thread":
         server = SyncServer(sim, fabric, "srv", make_vm(sim), bad_handler,
                             threads=1)
@@ -117,19 +109,16 @@ def test_bad_servlet_yield_type_kills_the_worker(sim, fabric, driver):
         server = AsyncServer(sim, fabric, "srv", make_vm(sim), bad_handler,
                              workers=1)
     results = send_one(sim, fabric, server.listener)
-    sim.run(until=1.0)
+    with pytest.raises(TypeError) as raised:
+        sim.run(until=1.0)
+    message = str(raised.value)
+    assert message.startswith("srv: ")
+    assert "'not a step'" in message
+    for kind in INSTRUCTIONS:
+        assert kind in message
     assert results == []                 # no reply ever arrived
     assert server.stats.completed == 0
     assert server.stats.failed == 0
-    if driver == "thread":
-        assert server.busy_threads == 0  # the worker's finally still ran
-    dead = [process for process in processes if process.failed]
-    assert len(dead) == 1
-    error = dead[0].value
-    assert isinstance(error, TypeError)
-    assert "'not a step'" in str(error)
-    for kind in INSTRUCTIONS:
-        assert kind in str(error)
 
 
 def test_unrouted_call_fails_request_not_server(sim, fabric):

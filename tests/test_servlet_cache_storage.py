@@ -1,10 +1,11 @@
 """Unit tests for the cache/storage servlet instructions, both drivers.
 
 CacheGet/CachePut/CacheAbort and StorageRead/StorageWrite are handled
-by the thread-pool driver (``BaseServer._drive``) and the event-loop
-driver (``EventLoopConcurrency._worker``) alike; these tests run the
-same servlets through a :class:`SyncServer` and an :class:`AsyncServer`
-to pin that equivalence, plus the not-attached error contract and the
+by a server thread and an event-loop worker alike (the two
+:class:`~repro.servers.base.ServletDriver` kinds of
+``repro.servers.policies``); these tests run the same servlets through
+a :class:`SyncServer` and an :class:`AsyncServer` to pin that
+equivalence, plus the not-attached error contract and the
 single-flight coalescing path end to end.
 """
 

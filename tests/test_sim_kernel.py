@@ -52,6 +52,41 @@ def test_scheduling_in_past_raises():
         sim.call_at(0.5, lambda: None)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+def _kernels():
+    from reference_kernel import HeapSimulator
+
+    return [Simulator, HeapSimulator]
+
+
+@pytest.mark.parametrize("kernel", _kernels(), ids=["calendar", "heap"])
+@pytest.mark.parametrize("schedule", [
+    pytest.param(lambda sim: sim.call_at(NAN, print), id="call_at-nan"),
+    pytest.param(lambda sim: sim.call_at(INF, print), id="call_at-inf"),
+    pytest.param(lambda sim: sim.call_in(NAN, print), id="call_in-nan"),
+    pytest.param(lambda sim: sim.call_in(INF, print), id="call_in-inf"),
+    pytest.param(lambda sim: sim.call_at_batch([NAN], print),
+                 id="batch-nan"),
+    pytest.param(lambda sim: sim.call_at_batch([INF], print),
+                 id="batch-inf"),
+])
+def test_non_finite_times_are_rejected(kernel, schedule):
+    """A NaN or infinite entry would sit beyond every calendar window,
+    and ``run(until=...)`` would roll the window forever: the kernel
+    rejects it at the call instead, and the run still ends."""
+    sim = kernel(seed=1)
+    sim.call_in(1.0, print)
+    with pytest.raises(ValueError, match="not a finite time|non-finite"):
+        schedule(sim)
+    sim.call_in(6.0, print)
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+    assert sim.executed_events == 1
+
+
 def test_run_until_stops_before_later_events():
     sim = Simulator()
     hits = []

@@ -15,6 +15,7 @@ threshold at lighter millibottlenecks.
 
 from __future__ import annotations
 
+from ..servers.policies import TierPolicy
 from ..topology.chain import build_chain, uniform_chain
 from ..units import ms
 from .report import format_table
@@ -28,21 +29,22 @@ RATE = 900.0
 STALL = 1.0
 
 
-def _chain_specs(depth, sync):
-    specs = uniform_chain(
-        depth, sync=sync,
-        threads=100, backlog=64, workers=8,
+def _chain_tiers(depth, sync):
+    policy = (TierPolicy.sync(threads=100) if sync
+              else TierPolicy.asynchronous(workers=8))
+    tiers = uniform_chain(
+        depth, policy=policy, backlog=64,
         pre_work=ms(0.05), mid_work=ms(0.05), post_work=ms(0.15),
     )
     # the deepest tier is a leaf: pure service
-    specs[-1].pre_work = ms(0.4)
-    return specs
+    tiers[-1].pre_work = ms(0.4)
+    return tiers
 
 
 def run(depth=5, sync=True, duration=30.0, stall_at=12.0, seed=42,
         streaming=False):
     """One chain run with a freeze-millibottleneck at the deepest tier."""
-    system = build_chain(_chain_specs(depth, sync), seed=seed,
+    system = build_chain(_chain_tiers(depth, sync), seed=seed,
                          streaming=streaming)
     monitor = system.attach_monitor()
     system.open_loop(RATE)

@@ -8,7 +8,8 @@ root request's trace; this module turns a trace into:
 - :func:`server_spans` — the time the request (or its sub-requests)
   spent inside each server, visit by visit;
 - :func:`retransmission_gaps` — the dead time between a packet drop
-  and its next (re)transmission arriving somewhere;
+  at a listener and the request's next event at that listener's server
+  (normally the retransmitted packet being served);
 - :func:`narrate` — a human-readable timeline, the textual analogue of
   the paper's Fig 4 walk-through.
 
@@ -61,25 +62,44 @@ def server_spans(trace):
     return spans
 
 
+def _server_of(event, detail):
+    """The server a non-drop trace event belongs to, or None."""
+    if event in ("start", "shed", "reply"):
+        return detail
+    if event == "error":
+        return detail.split(":", 1)[0]
+    if event == "call":  # "<caller>-><target>": the caller is serving
+        return detail.split("->", 1)[0]
+    return None
+
+
 def retransmission_gaps(trace):
     """(drop_time, resume_time, listener) for every dropped packet.
 
-    ``resume_time`` is the next trace event after the drop — normally
-    the retransmitted packet reaching a server ~RTO later.  The gap is
-    the dead time TCP retransmission added to the request.
+    ``resume_time`` is the next non-drop event of the listener that
+    dropped the packet — its ``start``, ``shed``, ``reply`` or
+    ``error``, or a ``call`` it makes (an event-loop server records no
+    ``start``) — normally the retransmitted packet being served ~RTO
+    later; ``None`` if none follows.  The gap is the dead time TCP
+    retransmission added to the request.  Events of other servers do
+    not end it: on a fan-out trace the other legs go on while one leg
+    waits for its retransmission.
     """
     gaps = []
-    pending = []  # drops waiting for the next non-drop event
+    pending = {}  # listener -> its drops waiting for its next event
     for time, event, detail in sorted(trace, key=lambda e: e[0]):
         if event == "drop":
-            pending.append((time, detail))
+            pending.setdefault(detail, []).append(time)
         elif pending:
-            gaps.extend(
-                (drop_time, time, listener)
-                for drop_time, listener in pending
-            )
-            pending.clear()
-    gaps.extend((drop_time, None, listener) for drop_time, listener in pending)
+            server = _server_of(event, detail)
+            drops = pending.pop(server, None)
+            if drops is not None:
+                gaps.extend((drop_time, time, server) for drop_time in drops)
+    gaps.extend(
+        (drop_time, None, listener)
+        for listener, drops in pending.items()
+        for drop_time in drops
+    )
     return gaps
 
 

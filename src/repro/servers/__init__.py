@@ -1,15 +1,22 @@
 """Server models, composed from pluggable invocation policies.
 
-The classic pair — :class:`SyncServer` (RPC) and :class:`AsyncServer`
-(event-driven) — are presets over :class:`PolicyServer`, which accepts
-any admission × concurrency × remediation combination; see
-``docs/ARCHITECTURE.md``.
+Every server is one :class:`PolicyServer` built from one
+:class:`TierPolicy` — admission × concurrency × remediation, each a
+spec whose ``kind`` names a class in that axis's table.  The classic
+pair — :class:`SyncServer` (RPC) and :class:`AsyncServer`
+(event-driven) — keep the paper's names and parameters and build
+through the ``TierPolicy.sync`` and ``TierPolicy.asynchronous``
+presets; see ``docs/ARCHITECTURE.md``.
 """
 
-from .async_server import DEFAULT_LITE_Q_DEPTH, AsyncServer
-from .base import BaseServer, ServerStats
+from .async_server import AsyncServer
+from .base import ServerStats
 from .cache import CacheStats, LruCache
 from .policies import (
+    ADMISSIONS,
+    CONCURRENCIES,
+    DEFAULT_LITE_Q_DEPTH,
+    REMEDIATIONS,
     AdmissionSpec,
     CircuitBreaker,
     CoDelAdmission,
@@ -23,18 +30,16 @@ from .policies import (
     ThreadPoolConcurrency,
     TierPolicy,
     TimeoutRetry,
-    build_admission,
-    build_concurrency,
-    build_remediation,
 )
-from .runtime import PolicyServer, policy_server
+from .runtime import PolicyServer
 from .storage import StorageStats, WriteBackStore
 from .sync_server import SyncServer
 
 __all__ = [
+    "ADMISSIONS",
     "AdmissionSpec",
     "AsyncServer",
-    "BaseServer",
+    "CONCURRENCIES",
     "CacheStats",
     "CircuitBreaker",
     "CoDelAdmission",
@@ -46,6 +51,7 @@ __all__ = [
     "LruCache",
     "NoRemediation",
     "PolicyServer",
+    "REMEDIATIONS",
     "RemediationSpec",
     "ServerStats",
     "SheddingAdmission",
@@ -55,8 +61,4 @@ __all__ = [
     "ThreadPoolConcurrency",
     "TierPolicy",
     "TimeoutRetry",
-    "build_admission",
-    "build_concurrency",
-    "build_remediation",
-    "policy_server",
 ]

@@ -25,27 +25,23 @@ Three consequences, all observed in the paper:
   how many requests are parked, so throughput does not collapse at high
   concurrency (Fig 12).
 
-Since the policy refactor this class is a thin **preset** over
-:class:`~repro.servers.runtime.PolicyServer`:
+This class is :class:`~repro.servers.runtime.PolicyServer` built from
+the :meth:`~repro.servers.policies.TierPolicy.asynchronous` preset:
 
     eager LiteQ admission × event-loop concurrency × no remediation
 
-kept as a named preset for code that constructs a server directly.
-Built topologies make the same composition from
-``TierPolicy.asynchronous(...)`` through
-:func:`~repro.servers.runtime.policy_server`, with the same attributes
-(``inflight``, ``lite_q_depth``, ``ready_events``, ...).
+kept under the paper's name and parameters for code that constructs a
+server directly.  Built topologies give a ``NodeSpec`` the same
+``TierPolicy.asynchronous(...)`` and get the same server, with the same
+attributes (``inflight``, ``lite_q_depth``, ``ready_events``, ...).
 """
 
 from __future__ import annotations
 
-from .policies import EagerAdmission, EventLoopConcurrency, NoRemediation
+from .policies import DEFAULT_LITE_Q_DEPTH, TierPolicy
 from .runtime import PolicyServer
 
-__all__ = ["AsyncServer", "DEFAULT_LITE_Q_DEPTH"]
-
-#: Nginx/XTomcat lightweight-queue bound — all available TCP ports.
-DEFAULT_LITE_Q_DEPTH = 65535
+__all__ = ["AsyncServer"]
 
 
 class AsyncServer(PolicyServer):
@@ -75,9 +71,7 @@ class AsyncServer(PolicyServer):
                  pace_rate=None):
         super().__init__(
             sim, fabric, name, vm, handler,
-            admission=EagerAdmission(lite_q_depth),
-            concurrency=EventLoopConcurrency(workers=workers,
-                                             pace_rate=pace_rate),
-            remediation=NoRemediation(),
+            TierPolicy.asynchronous(lite_q_depth=lite_q_depth,
+                                    workers=workers, pace_rate=pace_rate),
             backlog=backlog,
         )

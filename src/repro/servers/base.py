@@ -1,7 +1,8 @@
-"""Common machinery shared by synchronous and asynchronous servers.
+"""The servlet machinery shared by every server's drivers.
 
-A server owns a listening socket, a VM to burn CPU on, a servlet handler
-and wiring to its downstream tiers.  One table,
+A server (:class:`~repro.servers.runtime.PolicyServer`) owns a listening
+socket, a VM to burn CPU on, a servlet handler and wiring to its
+downstream tiers; this module runs its servlets.  One table,
 :data:`INSTRUCTION_HANDLERS`, interprets the servlet's instructions
 (:mod:`repro.apps.servlet`): each handler returns the value the servlet
 resumes with at once, or an event to wait on (a downstream call in
@@ -19,12 +20,12 @@ as the callback that continues it.  The two drivers differ only in how
 they wait on a handler's event and in their finish bookkeeping
 (:mod:`repro.servers.policies`):
 
-- a server thread (:class:`~repro.servers.policies.ThreadPoolConcurrency`
-  of a :class:`~repro.servers.sync_server.SyncServer`) resumes itself
+- a server thread (:class:`~repro.servers.policies.ThreadPoolConcurrency`,
+  as in a :class:`~repro.servers.sync_server.SyncServer`) resumes itself
   when the event settles and so **blocks**: it holds its thread through
   the wait (RPC semantics — the paper's Apache/Tomcat/MySQL), while
 - an event-loop worker
-  (:class:`~repro.servers.policies.EventLoopConcurrency` of an
+  (:class:`~repro.servers.policies.EventLoopConcurrency`, as in an
   :class:`~repro.servers.async_server.AsyncServer`) parks the
   continuation (:class:`_Task`) on the event and takes the next ready
   one (event-driven semantics — Nginx/XTomcat/XMySQL).
@@ -39,20 +40,15 @@ from ..apps.servlet import (
     Call,
     Compute,
     Gather,
-    ServletContext,
     ServletError,
     StorageRead,
     StorageWrite,
 )
-from ..net.tcp import Listener
 from ..sim.events import _FAILED, _PENDING, Event, SlimEvent
-from ..sim.resources import Resource
 from .gather import GatherCall
-from .replica import ReplicaGroup
 
 __all__ = [
     "INSTRUCTION_HANDLERS",
-    "BaseServer",
     "DownstreamCall",
     "ServerStats",
     "ServletDriver",
@@ -434,133 +430,3 @@ class DownstreamCall(SlimEvent):
         pool = self.route[1]
         if pool is not None:
             pool.release()
-
-
-class BaseServer:
-    """Wiring, routes and the queue-depth gauge of a server; its
-    concurrency policy runs the servlets (see the module docstring).
-
-    Parameters
-    ----------
-    sim, fabric:
-        The kernel and the network fabric.
-    name:
-        Server name (also the listener name — drop attribution uses it).
-    vm:
-        The :class:`repro.cpu.Vm` this server's work runs on.
-    handler:
-        Servlet generator function ``fn(ctx, request)``.
-    backlog:
-        TCP accept-queue size of this server's listener (the kernel
-        backlog, 128 on the paper's testbed).
-    """
-
-    def __init__(self, sim, fabric, name, vm, handler, backlog=128):
-        self.sim = sim
-        self.fabric = fabric
-        self.name = name
-        self.vm = vm
-        self.handler = handler
-        self.listener = fabric.listener(name, backlog=backlog)
-        self.listener.observer = self._note_queue_depth
-        self.ctx = ServletContext(name, sim, sim.fork_rng(f"server/{name}"))
-        #: target -> the Listener or ReplicaGroup it is routed to
-        self.downstream = {}
-        #: target -> caller-side pool Resource, for pooled routes only
-        self.pools = {}
-        #: target -> (listener-or-group, pool-or-None, trace label
-        #: "<this server>-><target>"): one dict lookup per downstream
-        #: call, and no label built per call
-        self._routes = {}
-        self.stats = ServerStats()
-        #: attached :class:`~repro.servers.cache.LruCache`, or ``None``;
-        #: required by ``CacheGet``/``CachePut``/``CacheAbort`` steps
-        self.cache = None
-        #: attached :class:`~repro.servers.storage.WriteBackStore`, or
-        #: ``None``; required by ``StorageRead``/``StorageWrite`` steps
-        self.storage = None
-        #: live-telemetry hook: called with each reply's tier sojourn
-        #: (seconds since the caller first sent the packet, so accept
-        #: queueing and retransmissions count); ``None`` = off
-        self.latency_observer = None
-        #: downstream calls per second this server may transmit, or
-        #: ``None`` for unpaced; set by an event-loop concurrency policy
-        self.pace_rate = None
-        #: downstream invoker used by the drivers; a remediation policy
-        #: (repro.servers.policies) rebinds this to wrap ``_invoke``
-        #: with timeouts/retries/circuit breaking
-        self._call = self._invoke
-
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-    def connect(self, target, listener, pool_size=None):
-        """Route :class:`Call` steps naming ``target`` to ``listener``.
-
-        ``listener`` is a :class:`~repro.net.tcp.Listener`, or a
-        :class:`~repro.servers.replica.ReplicaGroup` for replicas of the
-        downstream tier: balancing, per-replica pools and hedging (the
-        group then owns all pooling, so ``pool_size`` must be None).
-        Anything else is a ``TypeError`` here, at wiring time.
-
-        ``pool_size`` installs a caller-side connection pool (the
-        Tomcat→MySQL JDBC pool of 50): at most that many outstanding
-        calls to the target; further callers queue *inside this server*,
-        which is exactly how MySQL's effective ``MaxSysQDepth`` seen
-        from a synchronous Tomcat becomes ~50 in the paper.
-
-        Re-wiring an already-connected target is rejected: silently
-        overwriting the route would leak the old pool ``Resource``
-        (with any waiters still queued on it) and invalidate the
-        balancer state mid-run.
-        """
-        if target in self._routes:
-            raise ValueError(
-                f"{self.name} is already connected to {target!r}; "
-                "routes are fixed once wired"
-            )
-        if isinstance(listener, ReplicaGroup):
-            if pool_size is not None:
-                raise ValueError(
-                    f"{self.name}->{target}: a ReplicaGroup manages its "
-                    "own per-replica pools; pool_size must be None"
-                )
-        elif not isinstance(listener, Listener):
-            raise TypeError(
-                f"{self.name}->{target}: a route is a Listener or a "
-                f"ReplicaGroup, got {listener!r}"
-            )
-        self.downstream[target] = listener
-        pool = None
-        if pool_size is not None:
-            pool = self.pools[target] = Resource(
-                self.sim, pool_size, name=f"{self.name}->{target}.pool"
-            )
-        self._routes[target] = (listener, pool, f"{self.name}->{target}")
-        return self
-
-    # ------------------------------------------------------------------
-    # queue depth — the quantity plotted in every figure of the paper
-    # ------------------------------------------------------------------
-    def queue_depth(self):
-        """Requests inside this server plus its TCP accept queue."""
-        raise NotImplementedError
-
-    @property
-    def max_sys_q_depth(self):
-        """The overflow threshold this server type exposes."""
-        raise NotImplementedError
-
-    def _note_queue_depth(self):
-        depth = self.queue_depth()
-        if depth > self.stats.peak_queue_depth:
-            self.stats.peak_queue_depth = depth
-
-    def _invoke(self, step, request):
-        """Issue one downstream call; returns the :class:`DownstreamCall`
-        to wait on (it fails with :class:`ServletError` on a timeout,
-        an error reply, or an unknown route)."""
-        return DownstreamCall(self, step, request)
-
-    def __repr__(self):
-        return f"<{self.__class__.__name__} {self.name} depth={self.queue_depth()}>"

@@ -1,7 +1,8 @@
 """The composable invocation-policy layer.
 
 A server (:class:`~repro.servers.runtime.PolicyServer`) is no longer a
-class per design point but a composition of three orthogonal policies:
+class per design point but a composition of three orthogonal policies,
+described by one :class:`TierPolicy`:
 
 **AdmissionPolicy** — what happens when a packet reaches the listener:
 
@@ -10,7 +11,8 @@ class per design point but a composition of three orthogonal policies:
   them; overflow drops into the 3/6/9 s retransmission schedule.
 - :class:`EagerAdmission` — the event-driven stack's behaviour: an
   acceptor admits packets into a huge lightweight queue the instant
-  they arrive (LiteQDepth slots; Nginx uses all 65535 ports).
+  they arrive (LiteQDepth slots; Nginx uses all
+  :data:`DEFAULT_LITE_Q_DEPTH` ports).
 - :class:`SheddingAdmission` — *beyond the paper*: a **bounded**
   lightweight queue that answers overflow with an immediate 503
   instead of letting TCP drop and retransmit — trading silent 3-second
@@ -46,16 +48,28 @@ downstream call:
 A remediation policy replaces one invoker, ``server._call``, which
 returns the downstream call in flight that both drivers wait on.
 
-The classic servers are thin presets over this layer::
+A server's shape is declared once, as a frozen :class:`TierPolicy` of
+three specs (:class:`AdmissionSpec`, :class:`ConcurrencySpec`,
+:class:`RemediationSpec`).  Each spec's ``__post_init__`` is the only
+check of its values, so a bad value fails where it is written.  One
+table per axis — :data:`ADMISSIONS`, :data:`CONCURRENCIES`,
+:data:`REMEDIATIONS` — maps a spec's ``kind`` to its policy class, and
+``PolicyServer`` builds each policy as ``TABLE[spec.kind](spec)``; a
+policy instance keeps only what one server needs.  A new policy kind
+is one class plus one table entry.
 
-    SyncServer  = KernelBacklogAdmission + ThreadPoolConcurrency + none
-    AsyncServer = EagerAdmission(65535)  + EventLoopConcurrency  + none
+The classic servers are the :meth:`TierPolicy.sync` and
+:meth:`TierPolicy.asynchronous` presets::
+
+    SyncServer  = backlog admission + thread pool + none
+    AsyncServer = eager LiteQ admission + event loop + none
 
 and hybrids (eager admission feeding a thread pool, a bounded shedding
-queue in front of either, retries at any tier) become configuration —
-see the :class:`TierPolicy` spec: ``SystemConfig.tier_policy`` maps each
-3-tier server to one, and every ``NodeSpec`` of a service graph carries
-one, so ``topology/graph.py`` builds every server from it.
+queue in front of either, retries at any tier) are other
+:class:`TierPolicy` values: ``SystemConfig.tier_policy`` maps each
+3-tier server to one, and every ``NodeSpec`` of a service graph or
+chain carries one, so ``topology/graph.py`` builds every server from
+it.
 """
 
 from __future__ import annotations
@@ -71,26 +85,36 @@ from ..sim.resources import Store
 from .base import DownstreamCall, ServletDriver, _Task
 
 __all__ = [
+    "ADMISSIONS",
     "AdmissionPolicy",
     "AdmissionSpec",
+    "CONCURRENCIES",
     "CircuitBreaker",
     "CoDelAdmission",
     "ConcurrencyPolicy",
     "ConcurrencySpec",
+    "DEFAULT_LITE_Q_DEPTH",
+    "DEFAULT_THREADS",
     "EagerAdmission",
     "EventLoopConcurrency",
     "KernelBacklogAdmission",
     "NoRemediation",
+    "REMEDIATIONS",
     "RemediationPolicy",
     "RemediationSpec",
     "SheddingAdmission",
     "ThreadPoolConcurrency",
     "TierPolicy",
     "TimeoutRetry",
-    "build_admission",
-    "build_concurrency",
-    "build_remediation",
 ]
+
+#: Nginx/XTomcat lightweight-queue bound — all available TCP ports
+#: (the default LiteQDepth of :meth:`TierPolicy.asynchronous`)
+DEFAULT_LITE_Q_DEPTH = 65535
+
+#: thread-pool size per process (the paper's Apache; the default of
+#: :class:`ConcurrencySpec` and of every thread-pool preset)
+DEFAULT_THREADS = 150
 
 
 # ======================================================================
@@ -99,15 +123,19 @@ __all__ = [
 class AdmissionPolicy:
     """Decides how arriving packets enter the server.
 
-    One policy instance belongs to exactly one server (``bind`` stores
-    the back-reference).  ``eager`` admissions count admitted requests
-    in ``server.inflight`` and must drain the kernel backlog when a
-    request finishes; pull-style admission leaves packets in the accept
-    queue for the concurrency policy's workers to ``accept()``.
+    Built from its :class:`AdmissionSpec`, which has checked every
+    value.  One policy instance belongs to exactly one server (``bind``
+    stores the back-reference).  ``eager`` admissions count admitted
+    requests in ``server.inflight`` and must drain the kernel backlog
+    when a request finishes; pull-style admission leaves packets in the
+    accept queue for the concurrency policy's workers to ``accept()``.
     """
 
-    kind = "backlog"
+    kind = None
     eager = False
+
+    def __init__(self, spec):
+        """Nothing to keep by default."""
 
     def bind(self, server):
         self._server = server
@@ -129,6 +157,8 @@ class KernelBacklogAdmission(AdmissionPolicy):
     retransmission stalls.
     """
 
+    kind = "backlog"
+
     def capacity(self, server):
         # thread pools bound admitted work by their (growable) pool;
         # an event loop pulls as fast as it can, so only the workers
@@ -149,10 +179,8 @@ class EagerAdmission(AdmissionPolicy):
     kind = "eager"
     eager = True
 
-    def __init__(self, depth):
-        if depth < 1:
-            raise ValueError(f"lite_q_depth must be >= 1, got {depth}")
-        self.depth = depth
+    def __init__(self, spec):
+        self.depth = spec.depth
 
     def bind(self, server):
         self._server = server
@@ -239,16 +267,10 @@ class CoDelAdmission(SheddingAdmission):
 
     kind = "codel"
 
-    def __init__(self, depth, target=0.05, interval=0.1):
-        super().__init__(depth)
-        if target <= 0:
-            raise ValueError(f"codel target must be positive, got {target}")
-        if interval <= 0:
-            raise ValueError(
-                f"codel interval must be positive, got {interval}"
-            )
-        self.target = target
-        self.interval = interval
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.target = spec.target
+        self.interval = spec.interval
         #: admit timestamps of in-flight requests, FIFO (head = oldest)
         self._admitted_at = deque()
         self._above_since = None
@@ -313,12 +335,13 @@ class CoDelAdmission(SheddingAdmission):
 class ConcurrencyPolicy:
     """Decides who runs the servlets.
 
-    ``prepare`` installs counters/queues on the server and ``start``
-    creates the drivers (server threads or loop workers, each taking
-    its first task on a fresh zero-delay kernel tick), in that order
-    around admission binding, preserving the classic servers'
-    construction sequence.  ``submit`` receives exchanges from an
-    eager admission.
+    Built from its :class:`ConcurrencySpec`, which has checked every
+    value.  ``prepare`` installs counters/queues on the server and
+    ``start`` creates the drivers (server threads or loop workers, each
+    taking its first task on a fresh zero-delay kernel tick), in that
+    order around admission binding, preserving the classic servers'
+    construction sequence.  ``submit`` receives exchanges from an eager
+    admission.
     """
 
     kind = None
@@ -349,14 +372,11 @@ class ThreadPoolConcurrency(ConcurrencyPolicy):
 
     kind = "threads"
 
-    def __init__(self, threads=150, spawn_extra_process=False,
-                 spawn_after=0.5, max_processes=2):
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        self.threads = threads
-        self.spawn_extra_process = spawn_extra_process
-        self.spawn_after = spawn_after
-        self.max_processes = max_processes
+    def __init__(self, spec):
+        self.threads = spec.threads
+        self.spawn_extra_process = spec.spawn_extra_process
+        self.spawn_after = spec.spawn_after
+        self.max_processes = spec.max_processes
 
     def prepare(self, server):
         server.threads_per_process = self.threads
@@ -486,13 +506,9 @@ class EventLoopConcurrency(ConcurrencyPolicy):
 
     kind = "eventloop"
 
-    def __init__(self, workers=1, pace_rate=None):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if pace_rate is not None and pace_rate <= 0:
-            raise ValueError(f"pace_rate must be positive, got {pace_rate}")
-        self.workers = workers
-        self.pace_rate = pace_rate
+    def __init__(self, spec):
+        self.workers = spec.workers
+        self.pace_rate = spec.pace_rate
 
     def prepare(self, server):
         server.workers = self.workers
@@ -510,7 +526,6 @@ class EventLoopConcurrency(ConcurrencyPolicy):
 
     def busy(self, server):
         return server.inflight
-
 
 
 class _LoopWorker(ServletDriver):
@@ -549,17 +564,14 @@ class CircuitBreaker:
     Closed until ``threshold`` consecutive failures, then open for
     ``reset_after`` seconds (every call fails fast), then half-open:
     one trial call is let through — success closes the breaker,
-    failure re-opens it for another window.
+    failure re-opens it for another window.  :class:`RemediationSpec`
+    checks both values (``breaker_threshold``, ``breaker_reset``).
     """
 
     __slots__ = ("sim", "threshold", "reset_after", "failures",
                  "opened_at", "half_open", "opens")
 
     def __init__(self, sim, threshold, reset_after):
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        if reset_after <= 0:
-            raise ValueError(f"reset_after must be > 0, got {reset_after}")
         self.sim = sim
         self.threshold = threshold
         self.reset_after = reset_after
@@ -604,9 +616,14 @@ class CircuitBreaker:
 
 
 class RemediationPolicy:
-    """Decides what a caller does about slow/failed downstream calls."""
+    """Decides what a caller does about slow/failed downstream calls;
+    built from its :class:`RemediationSpec`, which has checked every
+    value."""
 
-    kind = "none"
+    kind = None
+
+    def __init__(self, spec):
+        """Nothing to keep by default."""
 
     def bind(self, server):
         """Install the policy's invoker on ``server`` as ``_call``."""
@@ -618,6 +635,8 @@ class NoRemediation(RemediationPolicy):
     ``bind`` is a no-op — the server's default ``_call`` already points
     at the plain, unwrapped invoker.
     """
+
+    kind = "none"
 
 
 class TimeoutRetry(RemediationPolicy):
@@ -637,19 +656,12 @@ class TimeoutRetry(RemediationPolicy):
 
     kind = "retry"
 
-    def __init__(self, timeout=1.0, retries=2, backoff=0.1,
-                 breaker_threshold=5, breaker_reset=5.0):
-        if timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {backoff}")
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.breaker_threshold = breaker_threshold
-        self.breaker_reset = breaker_reset
+    def __init__(self, spec):
+        self.timeout = spec.timeout
+        self.retries = spec.retries
+        self.backoff = spec.backoff
+        self.breaker_threshold = spec.breaker_threshold
+        self.breaker_reset = spec.breaker_reset
         self.breakers = {}
         self._server = None
 
@@ -669,8 +681,8 @@ class TimeoutRetry(RemediationPolicy):
         return breaker
 
     def invoke(self, step, request):
-        """Replaces ``BaseServer._invoke``: the same call in flight, with
-        a timeout per attempt, retries and the route's breaker."""
+        """Replaces ``PolicyServer._invoke``: the same call in flight,
+        with a timeout per attempt, retries and the route's breaker."""
         return _RetriedCall(self, self._server, step, request)
 
 
@@ -756,13 +768,40 @@ class _RetriedCall(DownstreamCall):
 
 
 # ======================================================================
+# one kind -> class table per axis
+# ======================================================================
+#: admission kind -> policy class; :class:`AdmissionSpec` accepts
+#: exactly these kinds, and ``PolicyServer`` builds ``cls(spec)``
+ADMISSIONS = {
+    "backlog": KernelBacklogAdmission,
+    "eager": EagerAdmission,
+    "shed": SheddingAdmission,
+    "codel": CoDelAdmission,
+}
+
+#: concurrency kind -> policy class (see :data:`ADMISSIONS`)
+CONCURRENCIES = {
+    "threads": ThreadPoolConcurrency,
+    "eventloop": EventLoopConcurrency,
+}
+
+#: remediation kind -> policy class (see :data:`ADMISSIONS`)
+REMEDIATIONS = {
+    "none": NoRemediation,
+    "retry": TimeoutRetry,
+}
+
+
+def _check_kind(axis, kind, table):
+    if kind not in table:
+        raise ValueError(
+            f"{axis} kind must be one of {tuple(table)}, got {kind!r}"
+        )
+
+
+# ======================================================================
 # declarative specs (one per server: NodeSpec.policy, tier_policy())
 # ======================================================================
-_ADMISSION_KINDS = ("backlog", "eager", "shed", "codel")
-_CONCURRENCY_KINDS = ("threads", "eventloop")
-_REMEDIATION_KINDS = ("none", "retry")
-
-
 @dataclass(frozen=True)
 class AdmissionSpec:
     """Declarative admission choice:
@@ -780,11 +819,7 @@ class AdmissionSpec:
     interval: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in _ADMISSION_KINDS:
-            raise ValueError(
-                f"admission kind must be one of {_ADMISSION_KINDS}, "
-                f"got {self.kind!r}"
-            )
+        _check_kind("admission", self.kind, ADMISSIONS)
         if self.kind != "backlog" and (self.depth is None or self.depth < 1):
             raise ValueError(
                 f"{self.kind} admission needs a depth >= 1, got {self.depth}"
@@ -798,10 +833,17 @@ class AdmissionSpec:
 
 @dataclass(frozen=True)
 class ConcurrencySpec:
-    """Declarative concurrency choice: ``threads`` / ``eventloop``."""
+    """Declarative concurrency choice: ``threads`` / ``eventloop``.
+
+    ``threads`` is the pool size per process; with
+    ``spawn_extra_process`` another pool is added (up to
+    ``max_processes`` processes) once every thread has been busy for
+    ``spawn_after`` seconds.  ``workers`` and ``pace_rate`` (downstream
+    calls per second, None = unpaced) shape an event loop.
+    """
 
     kind: str = "threads"
-    threads: int = 150
+    threads: int = DEFAULT_THREADS
     spawn_extra_process: bool = False
     spawn_after: float = 0.5
     max_processes: int = 2
@@ -809,13 +851,17 @@ class ConcurrencySpec:
     pace_rate: float = None
 
     def __post_init__(self):
-        if self.kind not in _CONCURRENCY_KINDS:
-            raise ValueError(
-                f"concurrency kind must be one of {_CONCURRENCY_KINDS}, "
-                f"got {self.kind!r}"
-            )
+        _check_kind("concurrency", self.kind, CONCURRENCIES)
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.spawn_after < 0:
+            raise ValueError(
+                f"spawn_after must be >= 0, got {self.spawn_after}"
+            )
+        if self.max_processes < 1:
+            raise ValueError(
+                f"max_processes must be >= 1, got {self.max_processes}"
+            )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.pace_rate is not None and self.pace_rate <= 0:
@@ -841,25 +887,31 @@ class RemediationSpec:
     breaker_reset: float = 5.0
 
     def __post_init__(self):
-        if self.kind not in _REMEDIATION_KINDS:
-            raise ValueError(
-                f"remediation kind must be one of {_REMEDIATION_KINDS}, "
-                f"got {self.kind!r}"
-            )
+        _check_kind("remediation", self.kind, REMEDIATIONS)
         if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.backoff < 0:
             raise ValueError(f"backoff must be >= 0, got {self.backoff}")
+        if self.breaker_threshold is not None and self.breaker_threshold < 1:
+            raise ValueError(
+                "breaker_threshold must be >= 1 or None, "
+                f"got {self.breaker_threshold}"
+            )
+        if self.breaker_reset <= 0:
+            raise ValueError(
+                f"breaker_reset must be > 0, got {self.breaker_reset}"
+            )
 
 
 @dataclass(frozen=True)
 class TierPolicy:
-    """One tier's full policy triple, with preset constructors.
+    """One server's full shape — admission, concurrency and remediation
+    specs — with preset constructors.
 
     The defaults compose the classic RPC server: kernel backlog, a
-    150-thread pool and no remediation.
+    :data:`DEFAULT_THREADS`-thread pool and no remediation.
     """
 
     admission: AdmissionSpec = field(default_factory=AdmissionSpec)
@@ -878,8 +930,8 @@ class TierPolicy:
                 )
 
     @classmethod
-    def sync(cls, threads=150, spawn_extra_process=False, spawn_after=0.5,
-             max_processes=2, remediation=None):
+    def sync(cls, threads=DEFAULT_THREADS, spawn_extra_process=False,
+             spawn_after=0.5, max_processes=2, remediation=None):
         """The classic RPC tier (SyncServer semantics)."""
         return cls(
             admission=AdmissionSpec("backlog"),
@@ -892,8 +944,8 @@ class TierPolicy:
         )
 
     @classmethod
-    def asynchronous(cls, lite_q_depth=65535, workers=1, pace_rate=None,
-                     remediation=None):
+    def asynchronous(cls, lite_q_depth=DEFAULT_LITE_Q_DEPTH, workers=1,
+                     pace_rate=None, remediation=None):
         """The classic event-driven tier (AsyncServer semantics)."""
         return cls(
             admission=AdmissionSpec("eager", depth=lite_q_depth),
@@ -904,7 +956,7 @@ class TierPolicy:
         )
 
     @classmethod
-    def shedding(cls, depth, threads=150, remediation=None):
+    def shedding(cls, depth, threads=DEFAULT_THREADS, remediation=None):
         """A bounded-LiteQ, load-shedding front for a thread pool."""
         return cls(
             admission=AdmissionSpec("shed", depth=depth),
@@ -913,8 +965,8 @@ class TierPolicy:
         )
 
     @classmethod
-    def codel(cls, depth, threads=150, target=0.05, interval=0.1,
-              remediation=None):
+    def codel(cls, depth, threads=DEFAULT_THREADS, target=0.05,
+              interval=0.1, remediation=None):
         """A delay-based (CoDel) AQM front for a thread pool."""
         return cls(
             admission=AdmissionSpec("codel", depth=depth, target=target,
@@ -922,38 +974,3 @@ class TierPolicy:
             concurrency=ConcurrencySpec("threads", threads=threads),
             remediation=remediation or RemediationSpec("none"),
         )
-
-
-def build_admission(spec):
-    if spec.kind == "backlog":
-        return KernelBacklogAdmission()
-    if spec.kind == "eager":
-        return EagerAdmission(spec.depth)
-    if spec.kind == "codel":
-        return CoDelAdmission(spec.depth, target=spec.target,
-                              interval=spec.interval)
-    return SheddingAdmission(spec.depth)
-
-
-def build_concurrency(spec):
-    if spec.kind == "threads":
-        return ThreadPoolConcurrency(
-            threads=spec.threads,
-            spawn_extra_process=spec.spawn_extra_process,
-            spawn_after=spec.spawn_after,
-            max_processes=spec.max_processes,
-        )
-    return EventLoopConcurrency(workers=spec.workers,
-                                pace_rate=spec.pace_rate)
-
-
-def build_remediation(spec):
-    if spec.kind == "none":
-        return NoRemediation()
-    return TimeoutRetry(
-        timeout=spec.timeout,
-        retries=spec.retries,
-        backoff=spec.backoff,
-        breaker_threshold=spec.breaker_threshold,
-        breaker_reset=spec.breaker_reset,
-    )

@@ -15,25 +15,20 @@ Apache's prefork/worker behaviour of spawning a *second process* with a
 fresh thread pool under sustained saturation — the second queue-depth
 plateau at ~428 in Fig 3(b) — is modelled by ``spawn_extra_process``.
 
-Since the policy refactor this class is a thin **preset** over
-:class:`~repro.servers.runtime.PolicyServer`:
+This class is :class:`~repro.servers.runtime.PolicyServer` built from
+the :meth:`~repro.servers.policies.TierPolicy.sync` preset:
 
     kernel-backlog admission × thread-pool concurrency × no remediation
 
-kept as a named preset for code that constructs a server directly.
-Built topologies make the same composition from
-``TierPolicy.sync(...)`` through
-:func:`~repro.servers.runtime.policy_server`, with the same attributes
-(``busy_threads``, ``thread_capacity``, ...).
+kept under the paper's name and parameters for code that constructs a
+server directly.  Built topologies give a ``NodeSpec`` the same
+``TierPolicy.sync(...)`` and get the same server, with the same
+attributes (``busy_threads``, ``thread_capacity``, ...).
 """
 
 from __future__ import annotations
 
-from .policies import (
-    KernelBacklogAdmission,
-    NoRemediation,
-    ThreadPoolConcurrency,
-)
+from .policies import DEFAULT_THREADS, TierPolicy
 from .runtime import PolicyServer
 
 __all__ = ["SyncServer"]
@@ -55,18 +50,17 @@ class SyncServer(PolicyServer):
         ``threads`` workers (at most ``max_processes`` processes total).
     """
 
-    def __init__(self, sim, fabric, name, vm, handler, threads=150,
-                 backlog=128, spawn_extra_process=False, spawn_after=0.5,
+    def __init__(self, sim, fabric, name, vm, handler,
+                 threads=DEFAULT_THREADS, backlog=128,
+                 spawn_extra_process=False, spawn_after=0.5,
                  max_processes=2):
         super().__init__(
             sim, fabric, name, vm, handler,
-            admission=KernelBacklogAdmission(),
-            concurrency=ThreadPoolConcurrency(
+            TierPolicy.sync(
                 threads=threads,
                 spawn_extra_process=spawn_extra_process,
                 spawn_after=spawn_after,
                 max_processes=max_processes,
             ),
-            remediation=NoRemediation(),
             backlog=backlog,
         )

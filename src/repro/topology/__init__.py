@@ -1,7 +1,7 @@
 """Topology builders for the paper's n-tier configurations."""
 
 from .builder import NTierSystem, build_system, three_tier_graph
-from .chain import ChainSystem, TierSpec, build_chain, uniform_chain
+from .chain import ChainSystem, build_chain, uniform_chain
 from .configs import SystemConfig, server_names
 from .consolidation import (
     ConsolidatedPair,
@@ -26,7 +26,6 @@ __all__ = [
     "NodeSpec",
     "ServiceGraph",
     "ServiceSystem",
-    "TierSpec",
     "build_chain",
     "build_graph",
     "fan_out",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..servers.policies import TierPolicy
+from ..servers.policies import DEFAULT_LITE_Q_DEPTH, TierPolicy
 from ..servers.replica import BALANCERS, HedgingSpec
 
 __all__ = ["SystemConfig", "server_names"]
@@ -59,7 +59,7 @@ class SystemConfig:
     db_pool_size: int = 50
 
     # --- asynchronous counterparts ---
-    lite_q_depth: int = 65535
+    lite_q_depth: int = DEFAULT_LITE_Q_DEPTH
     nginx_workers: int = 1
     xtomcat_workers: int = 165
     xmysql_slots: int = 8

@@ -14,10 +14,10 @@ with ``quorum``).
 
 :func:`build_graph` is the only code that places hosts and VMs, builds
 servers and wires routes.  Every server is one
-:func:`~repro.servers.runtime.policy_server` built from its node's
+:class:`~repro.servers.runtime.PolicyServer` built from its node's
 :class:`~repro.servers.policies.TierPolicy`.  The paper's systems are
 byte-identical presets over it: :func:`repro.topology.chain.build_chain`
-converts its ``TierSpec`` list to a path graph, and
+joins its ``NodeSpec`` tiers into a path graph, and
 :func:`repro.topology.builder.build_system` turns a ``SystemConfig``
 into the web → app → db graph (replicated or not) and views the result
 by tier.  The construction order below replays both historical orders.
@@ -46,7 +46,7 @@ from ..net.tcp import ConnectionTimeout, NetworkFabric
 from ..servers.cache import LruCache
 from ..servers.policies import TierPolicy
 from ..servers.replica import BALANCERS, HedgingSpec, ReplicaGroup
-from ..servers.runtime import policy_server
+from ..servers.runtime import PolicyServer
 from ..servers.storage import WriteBackStore
 from ..sim.kernel import Simulator
 from ..units import ms
@@ -199,8 +199,8 @@ class NodeSpec:
 class EdgeSpec:
     """One invocation edge: ``source`` calls ``target``.
 
-    ``pool`` installs a caller-side connection pool on the route (the
-    chain's ``pool_to_next`` / the 3-tier JDBC pool); with a replicated
+    ``pool`` installs a caller-side connection pool on the route (a
+    chain's ``pools`` entry / the 3-tier JDBC pool); with a replicated
     target each caller keeps one pool of that size per replica.
     """
 
@@ -590,6 +590,21 @@ class GraphSystem(ServiceSystem):
 # ======================================================================
 # servlets
 # ======================================================================
+def _drawer(node, rng):
+    """The CPU-stage sampler of ``node``'s servlet: an exponential
+    draw of mean ``mean`` off ``rng`` (or ``mean`` itself for a
+    deterministic node), 0 for no work."""
+
+    def draw(mean):
+        if mean <= 0:
+            return 0.0
+        if node.stochastic:
+            return rng.expovariate(1.0 / mean)
+        return mean
+
+    return draw
+
+
 def default_node_handler(node, successors, rng):
     """Servlet for one graph node.
 
@@ -599,13 +614,7 @@ def default_node_handler(node, successors, rng):
     Several successors: ``pre``, one parallel :class:`Gather` over every
     outgoing edge (barrier at ``node.quorum`` or all-of), ``post``.
     """
-
-    def draw(mean):
-        if mean <= 0:
-            return 0.0
-        if node.stochastic:
-            return rng.expovariate(1.0 / mean)
-        return mean
+    draw = _drawer(node, rng)
 
     if len(successors) > 1:
         calls = [
@@ -652,13 +661,7 @@ def cache_node_handler(node, successors, rng):
     """
     backing = successors[0] if successors else None
     fetch_op = f"{node.name}.fetch"
-
-    def draw(mean):
-        if mean <= 0:
-            return 0.0
-        if node.stochastic:
-            return rng.expovariate(1.0 / mean)
-        return mean
+    draw = _drawer(node, rng)
 
     def handler(ctx, request):
         yield Compute(draw(node.pre_work))
@@ -689,13 +692,7 @@ def storage_node_handler(node, successors, rng):
     only at device service, queued behind every buffered write — the
     bufferbloat coupling under test.
     """
-
-    def draw(mean):
-        if mean <= 0:
-            return 0.0
-        if node.stochastic:
-            return rng.expovariate(1.0 / mean)
-        return mean
+    draw = _drawer(node, rng)
 
     def handler(ctx, request):
         yield Compute(draw(node.pre_work))
@@ -770,8 +767,8 @@ def build_graph(graph, sim=None, seed=42, net_latency=0.0002, rto=3.0,
                 host = Host(sim, cores=max(1, node.vcpus),
                             name=f"{name}-host")
             vm = host.add_vm(f"{name}-vm", vcpus=node.vcpus)
-            server = policy_server(sim, fabric, name, vm, handler,
-                                   node.policy, backlog=node.backlog)
+            server = PolicyServer(sim, fabric, name, vm, handler,
+                                  node.policy, backlog=node.backlog)
             if node.kind == "cache":
                 server.cache = LruCache(
                     sim, node.cache_capacity, default_ttl=node.cache_ttl,

@@ -4,19 +4,19 @@ Before the drivers became callback objects
 (:class:`repro.servers.base.ServletDriver`), a server thread and an
 event-loop worker were each a simulated
 :class:`~repro.sim.process.Process` running a generator: the thread
-pool's ``_worker`` delegated every request to ``BaseServer._drive``,
+pool's ``_worker`` delegated every request to the server's ``_drive``,
 and the event loop's ``_worker`` ran the parked continuations.  This
 module keeps that code as it was — ``_drive``, both ``_worker``
 methods, ``start``, ``_spawn_process``, the event loop's ``submit``
 and its ``_Task`` — with only the imports changed (as ``reference_kernel``
 keeps the heap kernel and ``reference_cpu_host`` the CPU model).
 
-Plug a reference driver in through
-``PolicyServer(concurrency=ReferenceThreadPool(...))`` or
-``PolicyServer(concurrency=ReferenceEventLoop(...))``;
+Plug a reference driver in by swapping it into the concurrency table
+while the servers are built, e.g.
+``mock.patch.dict(CONCURRENCIES, {"threads": ReferenceThreadPool})``;
 ``tests/test_driver_differential.py`` diffs them against the production
-drivers on random programs.  ``_drive`` was a method of
-``BaseServer``: ``ReferenceThreadPool.prepare`` binds it to the server.
+drivers on random programs.  ``_drive`` was a method of the server
+class: ``ReferenceThreadPool.prepare`` binds it to the server.
 """
 
 from types import MethodType

@@ -10,11 +10,13 @@ the same cache and storage effects, and every thread, admission slot
 and pool connection handed back afterwards.
 
 The callback drivers replaced generator processes, kept in
-``tests/reference_drivers.py``.  Run concurrently — 2 to 6 requests
-against fewer threads or loop workers than requests — each driver must
-match its generator-process original exactly: replies and reply times,
-root traces, server counters, gather/cache/storage counters and the
-number of kernel events executed, with every slot back to zero.
+``tests/reference_drivers.py``; a reference build swaps them into the
+``CONCURRENCIES`` table while its servers are built.  Run concurrently
+— 2 to 6 requests against fewer threads or loop workers than requests
+— each driver must match its generator-process original exactly:
+replies and reply times, root traces, server counters,
+gather/cache/storage counters and the number of kernel events
+executed, with every slot back to zero.
 
 Programs are straight-line sequences over all eight instructions,
 including the failure cases: an unrouted Call, a downstream that
@@ -25,6 +27,8 @@ SyncServer and AsyncServer compositions) plus eager admission feeding a
 thread pool, optionally with a timeout/retry/breaker remediation, which
 then runs on both drivers.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,16 +48,13 @@ from repro.apps.servlet import (
 from repro.cpu import Host
 from repro.net import NetworkFabric
 from repro.servers import (
-    EagerAdmission,
-    EventLoopConcurrency,
-    KernelBacklogAdmission,
+    CONCURRENCIES,
+    AdmissionSpec,
+    ConcurrencySpec,
     PolicyServer,
     RemediationSpec,
     SyncServer,
-    ThreadPoolConcurrency,
     TierPolicy,
-    TimeoutRetry,
-    policy_server,
 )
 from repro.servers.cache import LruCache
 from repro.servers.gather import gather_stats
@@ -167,8 +168,8 @@ def _run(driver, program, cache_on, storage_on, retry, requests=3):
         policy = TierPolicy.sync(threads=4, remediation=remediation)
     else:
         policy = TierPolicy.asynchronous(workers=1, remediation=remediation)
-    front = policy_server(sim, fabric, "front", _vm(sim, "front"), servlet,
-                          policy)
+    front = PolicyServer(sim, fabric, "front", _vm(sim, "front"), servlet,
+                         policy)
     db = SyncServer(sim, fabric, "db", _vm(sim, "db"), _answer, threads=4)
     bad = SyncServer(sim, fabric, "bad", _vm(sim, "bad"), _refuse,
                      threads=4)
@@ -235,25 +236,20 @@ STARTS = st.lists(st.sampled_from([0.0, 0.0002, 0.001, 0.003]),
                   min_size=2, max_size=6)
 
 
-def _threads(reference, threads):
-    cls = ReferenceThreadPool if reference else ThreadPoolConcurrency
-    return cls(threads=threads)
+#: the generator-process drivers, swapped into ``CONCURRENCIES`` for a
+#: reference build
+REFERENCE = {"threads": ReferenceThreadPool, "eventloop": ReferenceEventLoop}
 
 
-def _front(sim, fabric, reference, front, size, servlet, retry):
+def _front_policy(front, size, retry):
+    remediation = RETRY if retry else RemediationSpec()
     if front == "eventloop":
-        cls = ReferenceEventLoop if reference else EventLoopConcurrency
-        admission, concurrency = EagerAdmission(64), cls(workers=size)
-    else:
-        admission = (EagerAdmission(64) if front == "eager-threads"
-                     else KernelBacklogAdmission())
-        concurrency = _threads(reference, size)
-    remediation = (TimeoutRetry(timeout=1.0, retries=1, backoff=0.01,
-                                breaker_threshold=3, breaker_reset=0.5)
-                   if retry else None)
-    return PolicyServer(sim, fabric, "front", _vm(sim, "front"), servlet,
-                        admission=admission, concurrency=concurrency,
-                        remediation=remediation)
+        return TierPolicy.asynchronous(lite_q_depth=64, workers=size,
+                                       remediation=remediation)
+    admission = (AdmissionSpec("eager", depth=64) if front == "eager-threads"
+                 else AdmissionSpec("backlog"))
+    return TierPolicy(admission, ConcurrencySpec("threads", threads=size),
+                      remediation)
 
 
 def _run_concurrently(reference, front, size, program, cache_on,
@@ -264,12 +260,16 @@ def _run_concurrently(reference, front, size, program, cache_on,
     implementations must agree on."""
     sim = Simulator(seed=5)
     fabric = NetworkFabric(sim, latency=0.0001, rto=3.0)
-    server = _front(sim, fabric, reference, front, size,
-                    _program_servlet(program), retry)
-    db = PolicyServer(sim, fabric, "db", _vm(sim, "db"), _answer,
-                      concurrency=_threads(reference, 2))
-    bad = PolicyServer(sim, fabric, "bad", _vm(sim, "bad"), _refuse,
-                       concurrency=_threads(reference, 1))
+    with mock.patch.dict(CONCURRENCIES, REFERENCE if reference else {}):
+        server = PolicyServer(sim, fabric, "front", _vm(sim, "front"),
+                              _program_servlet(program),
+                              _front_policy(front, size, retry))
+        db = PolicyServer(sim, fabric, "db", _vm(sim, "db"), _answer,
+                          TierPolicy.sync(threads=2))
+        bad = PolicyServer(sim, fabric, "bad", _vm(sim, "bad"), _refuse,
+                           TierPolicy.sync(threads=1))
+    assert all(isinstance(tier.concurrency, tuple(REFERENCE.values()))
+               == reference for tier in (server, db, bad))
     server.connect("db", db.listener, pool_size=2)
     server.connect("bad", bad.listener, pool_size=1)
     if cache_on:

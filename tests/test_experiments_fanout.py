@@ -101,3 +101,25 @@ def test_fanout_tail_requests_keep_their_traces():
         assert "PACKET DROPPED at " in text
     leaf_drop = f"PACKET DROPPED at {cell['stalled_leaf']}"
     assert any(leaf_drop in text for text in narrated)
+
+
+def test_fanout_leaf_drop_narrates_its_retransmission_dead_time():
+    """A VLRT request whose packet the frozen leaf dropped waited one
+    3 s RTO for that leg, while the sibling legs went on at once: its
+    narration reports about 3000 ms of dead time, not 0 ms."""
+    from repro.metrics.spans import narrate, retransmission_gaps
+
+    cell = fanout.run_one("sync", n=8, seed=42, **SCALE)
+    leaf = cell["stalled_leaf"]
+    dropped_at_leaf = [
+        record for record in cell["result"].log.vlrt()
+        if any(event == "drop" and detail == leaf
+               for _t, event, detail in record.trace)
+    ]
+    assert dropped_at_leaf
+    for record in dropped_at_leaf:
+        gaps = retransmission_gaps(record.trace)
+        assert all(resume is not None for _d, resume, _l in gaps)
+        dead = sum(resume - drop for drop, resume, _l in gaps)
+        assert dead == pytest.approx(3.0, abs=0.05)
+        assert "retransmission dead time: 3000 ms" in narrate(record)

@@ -125,7 +125,9 @@ def test_vlrt_traces_kept_by_default_in_real_run():
 
 
 def test_retransmission_gaps_interleaved_visits():
-    """Drops from different listeners resolve at the same next event."""
+    """Each drop resolves at the next non-drop event of its own
+    listener: apache's start does not end tomcat's dead time, which
+    lasts through tomcat's second drop until tomcat starts serving."""
     trace = [
         (0.0, "drop", "apache"),
         (0.5, "drop", "tomcat"),
@@ -136,8 +138,46 @@ def test_retransmission_gaps_interleaved_visits():
     gaps = retransmission_gaps(trace)
     assert gaps == [
         (0.0, 3.0, "apache"),
-        (0.5, 3.0, "tomcat"),
+        (0.5, 6.5, "tomcat"),
         (3.5, 6.5, "tomcat"),
+    ]
+
+
+def test_retransmission_gaps_ignore_sibling_legs():
+    """On a fan-out trace the other legs start at the drop's instant;
+    the dropped leg's dead time still runs until its own listener
+    serves the retransmitted packet."""
+    trace = [
+        (0.0, "start", "root"),
+        (0.001, "call", "root->leaf1"),
+        (0.001, "call", "root->leaf2"),
+        (0.0012, "drop", "leaf1"),
+        (0.0012, "start", "leaf2"),
+        (0.002, "reply", "leaf2"),
+        (3.0012, "start", "leaf1"),
+        (3.002, "reply", "leaf1"),
+        (3.003, "reply", "root"),
+    ]
+    assert retransmission_gaps(trace) == [(0.0012, 3.0012, "leaf1")]
+    record = RequestRecord(5, "Fan", 0.0, 3.003, drops=[(0.0012, "leaf1")],
+                           trace=trace)
+    assert "dead time: 3000 ms across 1 drop(s)" in narrate(record)
+
+
+def test_retransmission_gaps_end_at_an_event_loop_call():
+    """An event-loop server records no ``start``: its first call (or an
+    error it answers with) ends the drop's dead time."""
+    trace = [
+        (0.0, "drop", "nginx"),
+        (3.0, "call", "nginx->tomcat"),
+        (3.001, "reply", "tomcat"),
+        (3.002, "reply", "nginx"),
+        (4.0, "drop", "xmysql"),
+        (7.0, "error", "xmysql: boom"),
+    ]
+    assert retransmission_gaps(trace) == [
+        (0.0, 3.0, "nginx"),
+        (4.0, 7.0, "xmysql"),
     ]
 
 

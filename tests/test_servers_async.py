@@ -7,10 +7,10 @@ from repro.cpu import Host
 from repro.net import NetworkFabric
 from repro.servers import (
     AsyncServer,
+    PolicyServer,
     RemediationSpec,
     SyncServer,
     TierPolicy,
-    policy_server,
 )
 from repro.sim import Simulator
 
@@ -274,10 +274,10 @@ def test_pacing_spreads_downstream_calls(sim, fabric, remediation):
     whichever remediation policy issues them."""
     db = SyncServer(sim, fabric, "db", make_vm(sim, "db", cores=4),
                     compute_handler(0.0001), threads=64, backlog=64)
-    app = policy_server(sim, fabric, "app", make_vm(sim, "app"),
-                        two_stage_handler(0.00001, 0.00001),
-                        TierPolicy.asynchronous(workers=8, pace_rate=100.0,
-                                                remediation=remediation))
+    app = PolicyServer(sim, fabric, "app", make_vm(sim, "app"),
+                       two_stage_handler(0.00001, 0.00001),
+                       TierPolicy.asynchronous(workers=8, pace_rate=100.0,
+                                               remediation=remediation))
     app.connect("db", db.listener)
     arrivals = []
     original = db.listener.deliver

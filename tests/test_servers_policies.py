@@ -1,11 +1,14 @@
 """Unit tests for the composable invocation-policy runtime.
 
-Covers the policy specs and factories (repro.servers.policies), the
-composed :class:`PolicyServer` (repro.servers.runtime), load-shedding
+Covers the policy specs and their kind -> class tables
+(repro.servers.policies), the composed :class:`PolicyServer` built from
+a :class:`TierPolicy` (repro.servers.runtime), load-shedding
 admission, the circuit breaker, caller-side timeout+retry on both
 driver paths, and ConnectionTimeout -> ServletError propagation
 through multi-tier chains under a retry remediation.
 """
+
+import dataclasses
 
 import pytest
 
@@ -13,8 +16,12 @@ from repro.apps.servlet import Call, Compute, Request
 from repro.cpu import Host
 from repro.net import NetworkFabric
 from repro.servers import (
+    ADMISSIONS,
+    CONCURRENCIES,
+    REMEDIATIONS,
     AdmissionSpec,
     CircuitBreaker,
+    CoDelAdmission,
     ConcurrencySpec,
     EagerAdmission,
     EventLoopConcurrency,
@@ -23,16 +30,13 @@ from repro.servers import (
     PolicyServer,
     RemediationSpec,
     SheddingAdmission,
+    SyncServer,
     ThreadPoolConcurrency,
     TierPolicy,
     TimeoutRetry,
-    build_admission,
-    build_concurrency,
-    build_remediation,
-    policy_server,
 )
 from repro.sim import Simulator
-from repro.topology import build_chain, uniform_chain
+from repro.topology import SystemConfig, build_chain, uniform_chain
 from repro.units import ms
 
 
@@ -86,7 +90,7 @@ def send(sim, fabric, listener, operation="op", requests=None):
 
 
 # ----------------------------------------------------------------------
-# specs, factories, presets
+# specs, tables, presets
 # ----------------------------------------------------------------------
 def test_admission_spec_validation():
     with pytest.raises(ValueError):
@@ -129,6 +133,30 @@ def test_remediation_spec_rejects_bad_values_at_construction(bad, match):
         RemediationSpec("retry", **bad)
 
 
+@pytest.mark.parametrize("bad, match", [
+    (dict(max_processes=0), "max_processes must be >= 1"),
+    (dict(max_processes=-1), "max_processes must be >= 1"),
+    (dict(spawn_after=-1.0), "spawn_after must be >= 0"),
+])
+def test_concurrency_spec_rejects_bad_spawn_settings(bad, match):
+    """A second process that could never spawn, or a negative wait
+    before spawning it, fails where it is written."""
+    with pytest.raises(ValueError, match=match):
+        ConcurrencySpec(spawn_extra_process=True, **bad)
+    with pytest.raises(ValueError, match=match):
+        TierPolicy.sync(spawn_extra_process=True, **bad)
+    assert ConcurrencySpec(spawn_extra_process=True, max_processes=1,
+                           spawn_after=0.0).max_processes == 1
+
+
+def test_bad_spawn_settings_fail_before_any_build(sim, fabric):
+    with pytest.raises(ValueError, match="max_processes must be >= 1"):
+        SyncServer(sim, fabric, "srv", make_vm(sim), compute_handler(0.1),
+                   spawn_extra_process=True, max_processes=0)
+    with pytest.raises(ValueError, match="spawn_after must be >= 0"):
+        SystemConfig(nx=0, web_spawn_after=-1.0)
+
+
 def test_tier_policy_rejects_non_spec_members():
     with pytest.raises(ValueError, match="concurrency must be an instance"):
         TierPolicy(concurrency="threads")
@@ -137,8 +165,6 @@ def test_tier_policy_rejects_non_spec_members():
 
 
 def test_bad_policy_fails_before_any_build():
-    from repro.topology import SystemConfig
-
     with pytest.raises(ValueError, match="threads must be >= 1"):
         SystemConfig(app_policy=TierPolicy.sync(threads=0))
     # the nx-selected preset values are validated by the config itself
@@ -150,25 +176,66 @@ def test_bad_policy_fails_before_any_build():
     assert SystemConfig(nx=0, xmysql_slots=0).xmysql_slots == 0
 
 
-def test_build_factories_map_kinds_to_classes():
-    assert isinstance(build_admission(AdmissionSpec()), KernelBacklogAdmission)
-    assert isinstance(
-        build_admission(AdmissionSpec("eager", depth=9)), EagerAdmission
-    )
-    shed = build_admission(AdmissionSpec("shed", depth=9))
-    assert isinstance(shed, SheddingAdmission)
-    assert shed.depth == 9
-    assert isinstance(build_concurrency(ConcurrencySpec()),
-                      ThreadPoolConcurrency)
-    loop = build_concurrency(ConcurrencySpec("eventloop", workers=3))
-    assert isinstance(loop, EventLoopConcurrency)
-    assert loop.workers == 3
-    assert isinstance(build_remediation(RemediationSpec()), NoRemediation)
-    retry = build_remediation(
-        RemediationSpec("retry", timeout=0.2, retries=4)
-    )
-    assert isinstance(retry, TimeoutRetry)
-    assert retry.timeout == 0.2 and retry.retries == 4
+def test_bad_breaker_fails_before_any_build():
+    """A breaker that could never close (threshold 0) or never re-open
+    for a trial (reset 0) is rejected by its spec, so the config that
+    carries it fails at construction, not inside ``Simulator.run``."""
+    with pytest.raises(ValueError, match="breaker_threshold must be >= 1"):
+        SystemConfig(nx=0, seed=1, app_policy=TierPolicy.sync(
+            remediation=RemediationSpec("retry", breaker_threshold=0)))
+    with pytest.raises(ValueError, match="breaker_reset must be > 0"):
+        SystemConfig(nx=0, seed=1, app_policy=TierPolicy.sync(
+            remediation=RemediationSpec("retry", breaker_reset=0.0)))
+
+
+#: (table, one valid spec of every kind the table holds)
+TABLES = [
+    (ADMISSIONS,
+     [AdmissionSpec(), AdmissionSpec("eager", depth=9),
+      AdmissionSpec("shed", depth=9), AdmissionSpec("codel", depth=9)]),
+    (CONCURRENCIES, [ConcurrencySpec(), ConcurrencySpec("eventloop")]),
+    (REMEDIATIONS, [RemediationSpec(), RemediationSpec("retry")]),
+]
+
+
+@pytest.mark.parametrize("table, specs", TABLES,
+                         ids=["admission", "concurrency", "remediation"])
+def test_policy_tables_match_class_kinds_and_spec_kinds(table, specs):
+    """Each table's keys are its classes' ``kind`` attributes and are
+    exactly the kinds its spec accepts: every key builds a spec, any
+    other kind is rejected."""
+    assert all(cls.kind == kind for kind, cls in table.items())
+    assert [spec.kind for spec in specs] == list(table)
+    for bogus in ("bogus", None, ""):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            dataclasses.replace(specs[0], kind=bogus)
+
+
+def test_build_factories_map_kinds_to_classes(sim, fabric):
+    """``PolicyServer`` builds each policy from its spec through the
+    axis's table, and the policy keeps the spec's values."""
+    def build(name, policy):
+        return PolicyServer(sim, fabric, name, make_vm(sim, name),
+                            compute_handler(0.01), policy)
+
+    default = build("default", TierPolicy())
+    assert isinstance(default.admission, KernelBacklogAdmission)
+    assert isinstance(default.concurrency, ThreadPoolConcurrency)
+    assert default.concurrency.threads == 150
+    assert isinstance(default.remediation, NoRemediation)
+    eager = build("eager", TierPolicy.asynchronous(lite_q_depth=9, workers=3))
+    assert isinstance(eager.admission, EagerAdmission)
+    assert eager.admission.depth == 9
+    assert isinstance(eager.concurrency, EventLoopConcurrency)
+    assert eager.concurrency.workers == 3
+    shed = build("shed", TierPolicy.shedding(depth=9, threads=2))
+    assert isinstance(shed.admission, SheddingAdmission)
+    assert shed.admission.depth == 9
+    retry = build("retry", TierPolicy.sync(remediation=RemediationSpec(
+        "retry", timeout=0.2, retries=4)))
+    assert isinstance(retry.remediation, TimeoutRetry)
+    assert retry.remediation.timeout == 0.2
+    assert retry.remediation.retries == 4
 
 
 def test_tier_policy_presets():
@@ -196,10 +263,10 @@ def test_policy_server_default_composition_serves(sim, fabric):
 
 
 def test_policy_server_factory_from_tier_policy(sim, fabric):
-    server = policy_server(sim, fabric, "srv", make_vm(sim),
-                           compute_handler(0.01),
-                           TierPolicy.shedding(depth=5, threads=2),
-                           backlog=4)
+    server = PolicyServer(sim, fabric, "srv", make_vm(sim),
+                          compute_handler(0.01),
+                          TierPolicy.shedding(depth=5, threads=2),
+                          backlog=4)
     assert isinstance(server.admission, SheddingAdmission)
     assert isinstance(server.concurrency, ThreadPoolConcurrency)
     assert server.max_sys_q_depth == 5 + 4
@@ -209,7 +276,7 @@ def test_policy_server_factory_from_tier_policy(sim, fabric):
 # load-shedding admission (bounded LiteQ + 503)
 # ----------------------------------------------------------------------
 def shedding_server(sim, fabric, depth=2, threads=1, work=1.0):
-    return policy_server(
+    return PolicyServer(
         sim, fabric, "srv", make_vm(sim), compute_handler(work),
         TierPolicy.shedding(depth=depth, threads=threads), backlog=8,
     )
@@ -274,25 +341,14 @@ def test_codel_spec_validation():
 
 
 def test_codel_factory_and_preset():
-    from repro.servers import CoDelAdmission
-
-    built = build_admission(AdmissionSpec("codel", depth=9, target=0.02,
-                                          interval=0.2))
+    built = ADMISSIONS["codel"](AdmissionSpec("codel", depth=9, target=0.02,
+                                              interval=0.2))
     assert isinstance(built, CoDelAdmission)
     assert isinstance(built, SheddingAdmission)  # strictly tightens shed
     assert (built.depth, built.target, built.interval) == (9, 0.02, 0.2)
     policy = TierPolicy.codel(depth=9, threads=3, target=0.02, interval=0.2)
     assert policy.admission.kind == "codel"
     assert policy.concurrency.threads == 3
-
-
-def test_codel_admission_constructor_validation(sim):
-    from repro.servers import CoDelAdmission
-
-    with pytest.raises(ValueError, match="target must be positive"):
-        CoDelAdmission(4, target=0.0)
-    with pytest.raises(ValueError, match="interval must be positive"):
-        CoDelAdmission(4, interval=0.0)
 
 
 def send_at(sim, fabric, listener, at, operation="op"):
@@ -313,7 +369,7 @@ def send_at(sim, fabric, listener, at, operation="op"):
 
 def codel_server(sim, fabric, work, depth=50, threads=1,
                  target=0.05, interval=0.1):
-    return policy_server(
+    return PolicyServer(
         sim, fabric, "srv", make_vm(sim), compute_handler(work),
         TierPolicy.codel(depth=depth, threads=threads, target=target,
                          interval=interval),
@@ -387,11 +443,18 @@ def test_codel_hard_depth_bound_still_applies(sim, fabric):
 # ----------------------------------------------------------------------
 # circuit breaker
 # ----------------------------------------------------------------------
-def test_circuit_breaker_validation(sim):
-    with pytest.raises(ValueError):
-        CircuitBreaker(sim, threshold=0, reset_after=1.0)
-    with pytest.raises(ValueError):
-        CircuitBreaker(sim, threshold=1, reset_after=0.0)
+def test_circuit_breaker_validation():
+    """The breaker's settings are checked once, by the remediation spec
+    that carries them."""
+    with pytest.raises(ValueError, match="breaker_threshold must be >= 1"):
+        RemediationSpec("retry", breaker_threshold=0)
+    with pytest.raises(ValueError, match="breaker_reset must be > 0"):
+        RemediationSpec("retry", breaker_reset=0.0)
+    with pytest.raises(ValueError, match="breaker_reset must be > 0"):
+        RemediationSpec("retry", breaker_reset=-1.0)
+    # None disables the breaker
+    assert RemediationSpec("retry",
+                           breaker_threshold=None).breaker_threshold is None
 
 
 def test_circuit_breaker_state_machine(sim):
@@ -426,14 +489,13 @@ def test_circuit_breaker_reopens_on_half_open_failure(sim):
 def front_and_back(sim, fabric, remediation, front_async=False,
                    back_work=5.0):
     back = PolicyServer(sim, fabric, "back", make_vm(sim, "bvm"),
-                        compute_handler(back_work),
-                        concurrency=ThreadPoolConcurrency(threads=4))
+                        compute_handler(back_work), TierPolicy.sync(threads=4))
     if front_async:
         policy = TierPolicy.asynchronous(workers=1, remediation=remediation)
     else:
         policy = TierPolicy.sync(threads=4, remediation=remediation)
-    front = policy_server(sim, fabric, "front", make_vm(sim, "fvm"),
-                          calling_handler("back"), policy)
+    front = PolicyServer(sim, fabric, "front", make_vm(sim, "fvm"),
+                         calling_handler("back"), policy)
     front.connect("back", back.listener)
     return front, back
 
@@ -510,11 +572,13 @@ def retry_chain(depth=3, **retry_kwargs):
     spec_kwargs = dict(timeout=0.1, retries=1, backoff=0.0,
                        breaker_threshold=None)
     spec_kwargs.update(retry_kwargs)
-    specs = uniform_chain(depth, threads=4, backlog=4,
-                          pre_work=ms(0.05), post_work=ms(0.1),
+    tiers = uniform_chain(depth, policy=TierPolicy.sync(threads=4),
+                          backlog=4, pre_work=ms(0.05), post_work=ms(0.1),
                           stochastic=False)
-    specs[-2].remediation = RemediationSpec("retry", **spec_kwargs)
-    return build_chain(specs, seed=7)
+    tiers[-2].policy = TierPolicy.sync(
+        threads=4, remediation=RemediationSpec("retry", **spec_kwargs)
+    )
+    return build_chain(tiers, seed=7)
 
 
 def test_chain_timeout_propagates_as_servlet_error():

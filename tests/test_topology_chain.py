@@ -2,18 +2,23 @@
 
 import pytest
 
-from repro.topology import TierSpec, build_chain, uniform_chain
+from repro.servers import TierPolicy
+from repro.topology import NodeSpec, build_chain, uniform_chain
 from repro.units import ms
+
+#: the tiny chain's tier shapes: 4 threads, or 2 loop workers
+SYNC = TierPolicy.sync(threads=4)
+ASYNC = TierPolicy.asynchronous(lite_q_depth=64, workers=2)
 
 
 def tiny_specs(depth=3, sync=True, **overrides):
     defaults = dict(
-        threads=4, backlog=2, workers=2, lite_q_depth=64,
+        policy=SYNC if sync else ASYNC, backlog=2,
         pre_work=ms(0.05), mid_work=ms(0.05), post_work=ms(0.1),
         stochastic=False,
     )
     defaults.update(overrides)
-    return uniform_chain(depth, sync=sync, **defaults)
+    return uniform_chain(depth, **defaults)
 
 
 # ----------------------------------------------------------------------
@@ -29,19 +34,33 @@ def test_uniform_chain_minimum_depth():
         uniform_chain(1)
 
 
-def test_tier_spec_validation():
-    with pytest.raises(ValueError):
-        TierSpec("x", sync=True, threads=0)
-    with pytest.raises(ValueError):
-        TierSpec("x", sync=False, workers=0)
-    with pytest.raises(ValueError):
-        TierSpec("x", calls_to_next=0)
+def test_chain_tier_validation():
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        uniform_chain(3, policy=TierPolicy.sync(threads=0))
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        NodeSpec("x", policy=TierPolicy.asynchronous(workers=0))
+    with pytest.raises(ValueError, match="calls_to_next must be >= 1"):
+        NodeSpec("x", calls_to_next=0)
 
 
-def test_tier_spec_max_sys_q_depth():
-    assert TierSpec("x", sync=True, threads=100, backlog=28).max_sys_q_depth == 128
-    spec = TierSpec("x", sync=False, lite_q_depth=1000, backlog=28)
-    assert spec.max_sys_q_depth == 1028
+def test_build_chain_rejects_bad_pools():
+    # the last tier calls nobody, and "tier9" is no tier
+    for pools in ({"tier3": 2}, {"tier9": 2}):
+        with pytest.raises(ValueError, match="no tier with a next tier"):
+            build_chain(tiny_specs(3), pools=pools)
+    with pytest.raises(ValueError, match="pool must be >= 1"):
+        build_chain(tiny_specs(3), pools={"tier1": 0})
+
+
+def test_chain_tier_max_sys_q_depth():
+    tiers = [
+        NodeSpec("sync", policy=TierPolicy.sync(threads=100), backlog=28),
+        NodeSpec("async", policy=TierPolicy.asynchronous(lite_q_depth=1000),
+                 backlog=28),
+    ]
+    system = build_chain(tiers)
+    assert [server.max_sys_q_depth for server in system.servers] == [
+        128, 1028]
 
 
 def test_build_chain_rejects_duplicates():
@@ -53,12 +72,13 @@ def test_build_chain_rejects_duplicates():
 
 def test_build_chain_server_kinds():
     specs = tiny_specs(4)
-    specs[1].sync = False
+    specs[1].policy = ASYNC
     system = build_chain(specs)
     kinds = [(server.admission.kind, server.concurrency.kind)
              for server in system.servers]
     sync, asyn = ("backlog", "threads"), ("eager", "eventloop")
     assert kinds == [sync, asyn, sync, sync]
+    assert repr(system) == "<ChainSystem depth=4 [SASS]>"
 
 
 def test_chain_wiring_is_linear():
@@ -70,9 +90,7 @@ def test_chain_wiring_is_linear():
 
 
 def test_chain_pool_to_next():
-    specs = tiny_specs(3)
-    specs[1].pool_to_next = 2
-    system = build_chain(specs)
+    system = build_chain(tiny_specs(3), pools={"tier2": 2})
     assert system.servers[1].pools["tier3"].capacity == 2
     assert "tier2" not in system.servers[0].pools
 
@@ -124,15 +142,18 @@ def test_deep_sync_chain_queue_fill_order():
     # every tier's thread pool saturated during the cascade (an
     # intermediate tier's inflow concurrency is capped by the upstream
     # pool, so only the front tier also fills its TCP backlog)
-    for spec, name in zip(system.specs, system.names):
-        assert monitor.queues[name].max() >= spec.threads, name
-    front_spec, front_name = system.specs[0], system.names[0]
-    assert monitor.queues[front_name].max() == front_spec.max_sys_q_depth
+    for server, name in zip(system.servers, system.names):
+        assert monitor.queues[name].max() >= server.thread_capacity, name
+    front, front_name = system.servers[0], system.names[0]
+    assert monitor.queues[front_name].max() == front.max_sys_q_depth
 
 
 def test_async_chain_absorbs_leaf_freeze():
-    system = build_chain(tiny_specs(5, sync=False, lite_q_depth=4096),
-                         seed=7)
+    system = build_chain(
+        tiny_specs(5, policy=TierPolicy.asynchronous(lite_q_depth=4096,
+                                                     workers=2)),
+        seed=7,
+    )
     system.open_loop(rate=200.0)
     system.sim.call_at(3.0, system.vms[-1].freeze, 2.0)
     system.sim.run(until=10.0)

@@ -18,7 +18,7 @@ a bursty VM (SysBursty-MySQL) onto the Tomcat host of a synchronous
 
 from repro.core import Scenario, predicted_overflow
 from repro.experiments.report import ascii_timeline, format_table
-from repro.topology import SystemConfig
+from repro.topology import SystemConfig, build_system
 
 BURST_AT = 15.0
 
@@ -65,15 +65,16 @@ def main():
           f"(thread capacity {apache.thread_capacity}); the paper's second "
           f"plateau at ~428 = 150+150+128.\n")
 
-    # (c) the paper's arithmetic vs what we measured
+    # (c) the paper's arithmetic vs what we measured, against the
+    # one-process Apache of a freshly built system
+    depth = build_system(config).servers["web"].max_sys_q_depth
     arrival_rate = result.summary()["throughput_rps"]
     duration = 1.0
-    predicted = predicted_overflow(arrival_rate, duration,
-                                   config.web_max_sys_q_depth,
+    predicted = predicted_overflow(arrival_rate, duration, depth,
                                    drain_rate=0.35 * arrival_rate)
     print("the paper's dynamic-condition arithmetic:")
     print(f"  {arrival_rate:.0f} req/s x {duration:.1f}s millibottleneck vs "
-          f"MaxSysQDepth(Apache)={config.web_max_sys_q_depth} "
+          f"MaxSysQDepth(Apache)={depth} "
           f"(+ static requests still draining)")
     print(f"  predicted overflow ~{predicted:.0f} packets; "
           f"measured {result.drops[names['web']]} drops at {names['web']}\n")

@@ -51,7 +51,7 @@ from __future__ import annotations
 from heapq import heappop as _heappop
 from heapq import heappush as _heappush
 
-from ..sim.events import SlimEvent
+from ..sim.events import Event
 
 __all__ = ["Host", "Vm"]
 
@@ -174,7 +174,7 @@ class Vm:
         wrapper of :meth:`submit`, for callers that wait on an event
         (processes, the colocation injector, tests).
         """
-        done = SlimEvent(self.sim, name=self._job_event_name)
+        done = Event(self.sim, name=self._job_event_name)
         if not self.submit(work, done.succeed):
             done.succeed(None)
         return done

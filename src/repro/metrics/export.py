@@ -86,17 +86,24 @@ def request_log_to_csv(path, log):
 
 
 def run_summary_to_json(path, result):
-    """Write a RunResult's summary (plus config echo) as JSON."""
+    """Write a RunResult's summary (plus config echo) as JSON.
+
+    The echo's ``<tier>_max_sys_q_depth`` is the built server's
+    MaxSysQDepth at the end of the run (of the tier's first replica),
+    whatever server shape ``nx`` or a policy override gave it.
+    """
     config = result.config
     if config is not None:
+        servers = dict(result.system.server_items())
         config_echo = {
             "nx": config.nx,
             "seed": config.seed,
             "stack": result.names,
-            "web_max_sys_q_depth": config.web_max_sys_q_depth,
-            "app_max_sys_q_depth": config.app_max_sys_q_depth,
-            "db_max_sys_q_depth": config.db_max_sys_q_depth,
         }
+        for tier, name in result.names.items():
+            config_echo[f"{tier}_max_sys_q_depth"] = (
+                servers[name].max_sys_q_depth
+            )
     else:
         # graph experiments carry no chain SystemConfig (see
         # GraphRunResult): echo just the stack

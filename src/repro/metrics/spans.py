@@ -3,13 +3,15 @@
 The paper's methodology timestamps every message between servers at
 millisecond resolution and reconstructs what happened to individual
 VLRT requests.  Servers and the network fabric record events onto each
-root request's trace; this module turns a trace into:
+root request's trace: every server visit, on a thread pool or an event
+loop, records one ``start`` and one ``reply`` or ``error
+"<server>: <reason>"``.  This module turns a trace into:
 
 - :func:`server_spans` — the time the request (or its sub-requests)
   spent inside each server, visit by visit;
 - :func:`retransmission_gaps` — the dead time between a packet drop
   at a listener and the request's next event at that listener's server
-  (normally the retransmitted packet being served);
+  (normally the retransmitted packet being admitted);
 - :func:`narrate` — a human-readable timeline, the textual analogue of
   the paper's Fig 4 walk-through.
 
@@ -43,6 +45,10 @@ class Span:
 def server_spans(trace):
     """Pair each server's ``start`` with its ``reply``/``error``.
 
+    Every server visit records both, on either driver: a server thread
+    starts a visit when it takes the request, an event loop when its
+    eager admission hands the request to the loop.
+
     A request may visit the same server several times (a multi-query
     servlet calls the database once per query); visits are paired in
     FIFO order per server, which is exact because a single request's
@@ -68,8 +74,6 @@ def _server_of(event, detail):
         return detail
     if event == "error":
         return detail.split(":", 1)[0]
-    if event == "call":  # "<caller>-><target>": the caller is serving
-        return detail.split("->", 1)[0]
     return None
 
 
@@ -78,8 +82,7 @@ def retransmission_gaps(trace):
 
     ``resume_time`` is the next non-drop event of the listener that
     dropped the packet — its ``start``, ``shed``, ``reply`` or
-    ``error``, or a ``call`` it makes (an event-loop server records no
-    ``start``) — normally the retransmitted packet being served ~RTO
+    ``error`` — normally the retransmitted packet being admitted ~RTO
     later; ``None`` if none follows.  The gap is the dead time TCP
     retransmission added to the request.  Events of other servers do
     not end it: on a fan-out trace the other legs go on while one leg

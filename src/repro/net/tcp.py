@@ -28,7 +28,7 @@ after the original — matching the observed 3/6/9-second clusters.
 
 from __future__ import annotations
 
-from ..sim.events import SlimEvent
+from ..sim.events import Event
 from ..sim.resources import Store
 
 __all__ = ["SHED", "ConnectionTimeout", "Exchange", "Listener",
@@ -102,9 +102,9 @@ class Exchange:
         self.fabric = fabric
         self.listener = listener
         self.payload = payload
-        # slim event (single waiter) with the listener's precomputed
-        # label — one f-string per exchange otherwise
-        self.response = SlimEvent(fabric.sim, name=listener._response_name)
+        # the listener's precomputed label: one f-string per exchange
+        # otherwise
+        self.response = Event(fabric.sim, name=listener._response_name)
         self.first_sent_at = None
         self.attempts = 0
         self.drops = []
@@ -126,10 +126,7 @@ class Exchange:
         fabric = self.fabric
         sim = fabric.sim
         self.replied_at = sim.now
-        # jitter-free fast path: skip the _propagation() call per packet
-        latency = (fabric.latency if fabric._jitter_rng is None
-                   else fabric._propagation())
-        sim.call_in(latency, self.response.succeed, value)
+        sim.call_in(fabric.latency, self.response.succeed, value)
 
     def __repr__(self):
         return (
@@ -233,43 +230,25 @@ class NetworkFabric:
     latency:
         One-way propagation + stack delay in seconds (LAN-scale default).
     rto:
-        Retransmission timeout.  With the default ``backoff="linear"``,
-        attempt ``k`` (1-based) of a dropped packet arrives ``k * rto``
-        after the first attempt — 3/6/9 s with the RHEL-6-era default of
-        3 s, matching the paper's observed clusters.
+        Retransmission timeout: attempt ``k`` (1-based) of a dropped
+        packet leaves ``k * rto`` after the first attempt — 3/6/9 s
+        with the RHEL-6-era default of 3 s, matching the paper's
+        observed clusters.
     max_retransmits:
         Retransmissions before the caller sees :class:`ConnectionTimeout`.
-    backoff:
-        ``"linear"`` (default; retries at rto, 2*rto, 3*rto after the
-        first send) or ``"exponential"`` (kernel-style doubling: rto,
-        3*rto, 7*rto) — an ablation knob for where the response-time
-        modes sit.
-    jitter:
-        Uniform ±fraction applied to the propagation latency of each
-        packet, drawn from a dedicated deterministic stream (0 disables).
     """
 
-    _BACKOFFS = ("linear", "exponential")
-
-    def __init__(self, sim, latency=0.0002, rto=3.0, max_retransmits=3,
-                 backoff="linear", jitter=0.0):
+    def __init__(self, sim, latency=0.0002, rto=3.0, max_retransmits=3):
         if latency < 0:
             raise ValueError(f"latency must be >= 0, got {latency}")
         if rto <= 0:
             raise ValueError(f"rto must be > 0, got {rto}")
         if max_retransmits < 0:
             raise ValueError(f"max_retransmits must be >= 0, got {max_retransmits}")
-        if backoff not in self._BACKOFFS:
-            raise ValueError(f"backoff must be one of {self._BACKOFFS}")
-        if not 0 <= jitter < 1:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
         self.sim = sim
         self.latency = latency
         self.rto = rto
         self.max_retransmits = max_retransmits
-        self.backoff = backoff
-        self.jitter = jitter
-        self._jitter_rng = sim.fork_rng("net-jitter") if jitter else None
         # instrumentation bus, captured once; None disables every emit
         # site at the cost of one attribute load + identity check
         self._bus = getattr(sim, "bus", None)
@@ -294,26 +273,10 @@ class NetworkFabric:
         return exchange
 
     # ------------------------------------------------------------------
-    def _propagation(self):
-        if self._jitter_rng is None:
-            return self.latency
-        spread = self.jitter * self.latency
-        return self.latency + self._jitter_rng.uniform(-spread, spread)
-
-    def _retransmit_offset(self, attempts):
-        """Seconds after the *first* send at which the next attempt
-        leaves the sender, given ``attempts`` tries so far."""
-        if self.backoff == "linear":
-            return attempts * self.rto
-        # exponential: rto, 3*rto, 7*rto, ... (sum of doubling timeouts)
-        return (2 ** attempts - 1) * self.rto
-
     def _transmit(self, exchange):
         exchange.attempts += 1
         self.packets_sent += 1
-        latency = (self.latency if self._jitter_rng is None
-                   else self._propagation())
-        self.sim.call_in(latency, self._arrive, exchange)
+        self.sim.call_in(self.latency, self._arrive, exchange)
 
     def _arrive(self, exchange):
         bus = self._bus
@@ -352,9 +315,8 @@ class NetworkFabric:
                          exchange.attempts)
             exchange.response.fail(ConnectionTimeout(exchange))
             return
-        resend_at = (
-            exchange.first_sent_at + self._retransmit_offset(exchange.attempts)
-        )
+        # attempt k+1 leaves k * rto after the first send
+        resend_at = exchange.first_sent_at + exchange.attempts * self.rto
         delay = max(0.0, resend_at - self.sim.now)
         if bus is not None:
             bus.emit("net.retransmit", exchange.listener.name,

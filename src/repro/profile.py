@@ -8,9 +8,10 @@ raw profile in the binary pstats format, loadable by ``snakeviz``,
 
 Targets
 -------
-- every experiment name known to ``repro run`` (``fig01``, ``fig03``,
-  ..., ``scaleout``) — profiled through a single representative run
-  at its usual duration, or a CI-sized one with ``--quick``;
+- every experiment of :data:`EXPERIMENT_TARGETS` (``fig01``,
+  ``fig03``, ..., ``cache_storage``: every experiment ``repro run``
+  knows) — profiled through a single representative run at its usual
+  duration, or a CI-sized one with ``--quick``;
 - every benchmark workload from :mod:`repro.bench`
   (``kernel_callbacks``, ``fig01_streaming_1m``, ...) — profiled at
   scale 1.0, or 0.25 with ``--quick``.
@@ -33,6 +34,7 @@ import gc
 import pstats
 import sys
 import time
+from importlib import import_module
 
 __all__ = ["add_arguments", "list_targets", "main", "run_cli"]
 
@@ -68,52 +70,68 @@ def _bench_targets():
     return {name: workload for name, workload, _repeats in bench.BENCHMARKS}
 
 
-def _experiment_target(name, quick):
-    """A zero-argument thunk running one representative cell of the
-    experiment, or ``None`` when ``name`` is not an experiment."""
-    if name == "fig01":
-        from .experiments import fig01_histograms
+def _fig01(quick):
+    from .experiments import fig01_histograms
 
-        duration = 6.0 if quick else 45.0
-        return lambda: fig01_histograms.run_one(
-            7000, duration=duration, warmup=1.0 if quick else 5.0, seed=42
+    return lambda: fig01_histograms.run_one(
+        7000, duration=6.0 if quick else 45.0, warmup=1.0 if quick else 5.0,
+        seed=42,
+    )
+
+
+def _timeline(name):
+    """The target of a timeline figure: one run at its own duration, or
+    10 s with ``--quick``."""
+
+    def target(quick):
+        from .cli import _TIMELINES
+        from .experiments.timeline import run_timeline
+
+        spec = _TIMELINES[name].SPEC
+        return lambda: run_timeline(spec, duration=10.0 if quick else None)
+
+    return target
+
+
+def _call(module, function, quick_duration, duration, *args):
+    """The target calling ``repro.experiments.<module>.<function>(*args,
+    duration=...)``."""
+
+    def target(quick):
+        call = getattr(
+            import_module(f"{__package__}.experiments.{module}"), function
         )
-    if name == "fig12":
-        from .experiments import fig12_throughput
+        return lambda: call(*args,
+                            duration=quick_duration if quick else duration)
 
-        return lambda: fig12_throughput.run(
-            duration=6.0 if quick else 25.0
-        )
-    if name == "headline":
-        from .experiments import headline_utilization
+    return target
 
-        return lambda: headline_utilization.run(
-            duration=10.0 if quick else 60.0
-        )
-    if name == "policy_matrix":
-        from .experiments import policy_matrix
 
-        return lambda: policy_matrix.run(duration=10.0 if quick else 40.0)
-    if name == "scaleout":
-        from .experiments import scaleout
-
-        return lambda: scaleout.run(duration=10.0 if quick else 40.0)
-    from .cli import _TIMELINES
-
-    module = _TIMELINES.get(name)
-    if module is None:
-        return None
-    from .experiments.timeline import run_timeline
-
-    duration = 10.0 if quick else None  # None = the figure's own duration
-    return lambda: run_timeline(module.SPEC, duration=duration)
+#: experiment name -> ``target(quick)``, which returns a zero-argument
+#: thunk running one representative workload of the experiment; the
+#: experiments ``repro profile`` accepts and lists
+EXPERIMENT_TARGETS = {
+    "fig01": _fig01,
+    "fig03": _timeline("fig03"),
+    "fig05": _timeline("fig05"),
+    "fig07": _timeline("fig07"),
+    "fig08": _timeline("fig08"),
+    "fig09": _timeline("fig09"),
+    "fig10": _timeline("fig10"),
+    "fig11": _timeline("fig11"),
+    "fig12": _call("fig12_throughput", "run", 6.0, 25.0),
+    "headline": _call("headline_utilization", "run", 10.0, 60.0),
+    "policy_matrix": _call("policy_matrix", "run", 10.0, 40.0),
+    "scaleout": _call("scaleout", "run", 10.0, 40.0),
+    # one cell of each: their full sweeps take many minutes
+    "fanout": _call("fanout", "run_one", 6.0, 12.0, "sync"),
+    "cache_storage": _call("cache_storage", "run_one", 8.0, 16.0, "storm"),
+}
 
 
 def list_targets():
     """Every name ``repro profile`` accepts."""
-    from .cli import EXPERIMENTS
-
-    return sorted(EXPERIMENTS) + sorted(_bench_targets())
+    return sorted(EXPERIMENT_TARGETS) + sorted(_bench_targets())
 
 
 def add_arguments(parser):
@@ -148,15 +166,15 @@ def run_cli(args):
         scale = 0.25 if args.quick else 1.0
         target = lambda: workload(scale)  # noqa: E731
         described = f"benchmark {args.target} (scale {scale:g})"
-    else:
-        target = _experiment_target(args.target, args.quick)
-        if target is None:
-            print(f"unknown profile target {args.target!r}; "
-                  "'repro profile list' prints the accepted names",
-                  file=sys.stderr)
-            return 2
+    elif args.target in EXPERIMENT_TARGETS:
+        target = EXPERIMENT_TARGETS[args.target](args.quick)
         described = (f"experiment {args.target}"
                      f"{' (quick)' if args.quick else ''}")
+    else:
+        print(f"unknown profile target {args.target!r}; "
+              "'repro profile list' prints the accepted names",
+              file=sys.stderr)
+        return 2
 
     print(f"profiling {described} ...", flush=True)
     profiler = cProfile.Profile()

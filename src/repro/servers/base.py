@@ -16,9 +16,12 @@ throws into the servlet, runs :class:`Compute` inline (the CPU stage
 completes straight into the driver through
 :meth:`~repro.cpu.host.Vm.submit`) and every other instruction through
 the table, and returns whenever it has to wait, leaving a bound method
-as the callback that continues it.  The two drivers differ only in how
-they wait on a handler's event and in their finish bookkeeping
-(:mod:`repro.servers.policies`):
+as the callback that continues it.  Both drivers share one server-visit
+lifecycle: a :class:`_Task` records the visit's ``start`` when it is
+created, and :meth:`~repro.servers.runtime.PolicyServer._finish` records
+its ``reply`` or ``error "<server>: <reason>"``, replies and counts the
+outcome.  The drivers differ only in how they wait on a handler's event
+and in how they free their slot (:mod:`repro.servers.policies`):
 
 - a server thread (:class:`~repro.servers.policies.ThreadPoolConcurrency`,
   as in a :class:`~repro.servers.sync_server.SyncServer`) resumes itself
@@ -44,7 +47,7 @@ from ..apps.servlet import (
     StorageRead,
     StorageWrite,
 )
-from ..sim.events import _FAILED, _PENDING, Event, SlimEvent
+from ..sim.events import _FAILED, _PENDING, Event
 from .gather import GatherCall
 
 __all__ = [
@@ -110,7 +113,7 @@ def _gather(server, step, request):
     except ServletError as exc:
         # an unrouted leg still answers with an event, like an unrouted
         # Call, so the event loop re-enqueues the continuation for both
-        return SlimEvent(server.sim).fail(exc)
+        return Event(server.sim).fail(exc)
 
 
 def _attached(server, kind):
@@ -181,8 +184,10 @@ class _Task:
     """One admitted request's continuation: its servlet, and — while an
     event-loop worker has it parked — the outcome to resume it with.
 
-    ``ready`` is the event loop's ready queue (``None`` on a server
-    thread, which never parks a task).
+    Creating it records the visit's ``start``: when a server thread
+    takes the exchange, or when an eager admission hands it to the
+    event loop.  ``ready`` is the event loop's ready queue (``None`` on
+    a server thread, which never parks a task).
     """
 
     __slots__ = ("exchange", "request", "send", "throw", "send_value",
@@ -191,6 +196,7 @@ class _Task:
     def __init__(self, server, exchange, ready=None):
         self.exchange = exchange
         self.request = request = exchange.payload
+        request.record(server.sim.now, "start", server.name)
         gen = server.handler(server.ctx, request)
         # bound once per request: the loop resumes once per instruction
         self.send = gen.send
@@ -222,16 +228,16 @@ class ServletDriver:
     and runs their servlets through the one continuation loop,
     :meth:`run`.
 
-    Subclasses supply the differences between the drivers:
+    A servlet that returned or raised :class:`ServletError` is
+    finished by the server's one ``_finish``.  Subclasses supply the
+    differences between the drivers:
 
     - ``_adopt(item)`` turns a taken item into the :class:`_Task` to
       run;
     - ``_wait(task, event)`` decides what the driver does about the
       event an instruction handler returned, and returns the task to
       run next (``None``: the driver waits for a callback);
-    - ``_succeeded(task, value)`` and ``_failed(task, error)`` do the
-      finish bookkeeping of a servlet that returned or raised
-      :class:`ServletError`.
+    - ``_free()`` frees the driver's slot once a task finished.
 
     The first take runs on a fresh zero-delay kernel tick, exactly as a
     simulated process starts, so a driver's entries keep the kernel
@@ -330,11 +336,9 @@ class ServletDriver:
                 continue
             # the servlet ended: finish it (outside the except clauses,
             # so no exception raised by what the reply sets off chains
-            # to the caught one) and take the next task
-            if error is None:
-                self._succeeded(task, value)
-            else:
-                self._failed(task, error)
+            # to the caught one), free the slot and take the next task
+            server._finish(task.exchange, value, error)
+            self._free()
             task = self._next()
             if task is None:
                 return
@@ -342,7 +346,7 @@ class ServletDriver:
             error = task.throw_value
 
 
-class DownstreamCall(SlimEvent):
+class DownstreamCall(Event):
     """One downstream :class:`Call` in flight — the event both drivers
     wait on.
 
@@ -359,7 +363,7 @@ class DownstreamCall(SlimEvent):
     __slots__ = ("server", "step", "request", "route", "exchange")
 
     def __init__(self, server, step, request):
-        # SlimEvent.__init__ inlined (as in Grant): one call per
+        # Event.__init__ inlined (as in Grant): one call per
         # downstream call of every request on every tier
         self.sim = server.sim
         self._name = None

@@ -25,7 +25,7 @@ existing topologies.
 from __future__ import annotations
 
 from ..apps.servlet import ServletError
-from ..sim.events import SlimEvent
+from ..sim.events import Event
 
 __all__ = ["GatherCall", "gather_stats"]
 
@@ -113,7 +113,7 @@ class GatherCall:
         self.step = step
         self.request = request
         self.sim = server.sim
-        self.response = SlimEvent(server.sim, name="gather-call")
+        self.response = Event(server.sim, name="gather-call")
         self.results = [None] * len(calls)
         self.quorum = step.quorum if step.quorum is not None else len(calls)
         self.successes = 0

@@ -20,9 +20,12 @@ described by one :class:`TierPolicy`:
 
 **ConcurrencyPolicy** — who runs the servlet's instructions.  Both
 policies' drivers are :class:`~repro.servers.base.ServletDriver`
-callback objects sharing one continuation loop and the one handler
-table in :mod:`repro.servers.base`; they differ only in how they wait
-on the event a handler returns and in their finish bookkeeping:
+callback objects sharing one continuation loop, the one handler table
+in :mod:`repro.servers.base` and one server-visit lifecycle (a task
+records ``start`` when it is created, ``PolicyServer._finish`` records
+``reply`` or ``error``, replies and counts); they differ only in how
+they wait on the event a handler returns and in how they free their
+slot:
 
 - :class:`ThreadPoolConcurrency` — a bounded pool of threads
   (:class:`_ServerThread`), each held for a request's entire lifetime
@@ -455,7 +458,6 @@ class _ServerThread(ServletDriver):
             server.stats.arrivals += 1
         server.busy_threads += 1
         server._note_queue_depth()
-        exchange.payload.record(server.sim.now, "start", server.name)
         return _Task(server, exchange)
 
     def _wait(self, task, event):
@@ -475,26 +477,8 @@ class _ServerThread(ServletDriver):
         else:
             self.run(self.task, event._value, None)
 
-    def _succeeded(self, task, value):
+    def _free(self):
         server = self.server
-        task.request.record(server.sim.now, "reply", server.name)
-        task.exchange.reply(Response.success(value))
-        server.stats.completed += 1
-        self._release(task)
-
-    def _failed(self, task, error):
-        server = self.server
-        task.request.record(server.sim.now, "error",
-                            f"{server.name}: {error}")
-        task.exchange.reply(Response.failure(str(error)))
-        server.stats.failed += 1
-        self._release(task)
-
-    def _release(self, task):
-        server = self.server
-        observer = server.latency_observer
-        if observer is not None:
-            observer(server.sim.now - task.exchange.first_sent_at)
         server.busy_threads -= 1
         if self.eager:
             server._task_done()
@@ -545,14 +529,8 @@ class _LoopWorker(ServletDriver):
         event.add_callback(task.resume)
         return self._next()
 
-    def _succeeded(self, task, value):
-        self.server._finish(task, Response.success(value))
-
-    def _failed(self, task, error):
-        server = self.server
-        server.stats.failed += 1
-        server._finish(task, Response.failure(str(error)),
-                       count_completed=False)
+    def _free(self):
+        self.server._task_done()
 
 
 # ======================================================================

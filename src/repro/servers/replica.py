@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ..sim.events import SlimEvent
+from ..sim.events import Event
 from ..sim.resources import Resource
 
 __all__ = [
@@ -265,8 +265,8 @@ class HedgedCall:
     """Composite in-flight call: one or two legs, first response wins.
 
     Mirrors the :class:`~repro.net.tcp.Exchange` surface the servers
-    and workload generators consume — ``.response`` (a
-    :class:`SlimEvent`) and ``.attempts`` — so a
+    and workload generators consume — ``.response`` (an
+    :class:`~repro.sim.events.Event`) and ``.attempts`` — so a
     :class:`ReplicaGroup` route is a drop-in replacement for a single
     listener.  Both legs carry the *same* payload object, so drops and
     sheds from either leg land on the shared root trace and attribution
@@ -289,7 +289,7 @@ class HedgedCall:
         self.fabric = fabric
         self.payload = payload
         self.started_at = group.sim.now
-        self.response = SlimEvent(group.sim, name="hedged-call")
+        self.response = Event(group.sim, name="hedged-call")
         self.legs = []
         self._hedge_pending = False
         self._last_error = None

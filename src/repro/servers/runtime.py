@@ -19,6 +19,12 @@ its spec:
 parameters and build through the ``TierPolicy.sync`` and
 ``TierPolicy.asynchronous`` presets — see their modules.
 
+Whatever the policies, a server visit ends in one place,
+:meth:`PolicyServer._finish`, which records the visit's ``reply`` or
+``error "<server>: <reason>"``, replies and counts the outcome, for
+both servlet drivers (the visit's ``start`` is recorded where the
+driver's task is created, :class:`~repro.servers.base._Task`).
+
 Construction order is deliberate and matches the classic servers so
 that preset-composed systems replay *byte-identically* against the
 pre-refactor golden records: kernel wiring first (listener + RNG
@@ -29,7 +35,7 @@ rebinding, and the server threads or loop workers last.
 
 from __future__ import annotations
 
-from ..apps.servlet import ServletContext
+from ..apps.servlet import Response, ServletContext
 from ..net.tcp import Listener
 from ..sim.resources import Resource
 from .base import DownstreamCall, ServerStats
@@ -206,19 +212,26 @@ class PolicyServer:
         return len(self._ready)
 
     # ------------------------------------------------------------------
-    # completion plumbing shared by eager admissions and the event loop
+    # the end of a server visit, on either driver
     # ------------------------------------------------------------------
-    def _finish(self, task, response, count_completed=True):
-        request = task.exchange.payload
-        request.record(self.sim.now, "reply" if response.ok else "error",
-                       self.name)
-        task.exchange.reply(response)
-        if count_completed:
+    def _finish(self, exchange, value, error):
+        """Finish one visit whose servlet returned ``value`` or raised
+        ``error``: record ``reply`` or ``error "<server>: <reason>"`` on
+        the trace, reply, count the outcome and report the visit's tier
+        sojourn to the latency observer.  The driver then frees its
+        slot."""
+        now = self.sim.now
+        if error is None:
+            exchange.payload.record(now, "reply", self.name)
+            exchange.reply(Response.success(value))
             self.stats.completed += 1
+        else:
+            exchange.payload.record(now, "error", f"{self.name}: {error}")
+            exchange.reply(Response.failure(str(error)))
+            self.stats.failed += 1
         observer = self.latency_observer
         if observer is not None:
-            observer(self.sim.now - task.exchange.first_sent_at)
-        self._task_done()
+            observer(now - exchange.first_sent_at)
 
     def _task_done(self):
         """One admitted request left the building; refill from backlog."""

@@ -16,7 +16,7 @@ from .errors import (
     SimulationError,
     StaleEventError,
 )
-from .events import AllOf, AnyOf, Event, Grant, SlimEvent, Timeout
+from .events import AllOf, AnyOf, Event, Grant, Timeout
 from .instrument import EventBus, EventRecorder
 from .kernel import Simulator
 from .process import Process
@@ -38,7 +38,6 @@ __all__ = [
     "SimulationDeadlock",
     "SimulationError",
     "Simulator",
-    "SlimEvent",
     "StaleEventError",
     "Store",
     "Timeout",

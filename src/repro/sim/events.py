@@ -6,9 +6,10 @@ exactly once with either a value (``succeed``) or an exception (``fail``),
 and then notifies its callbacks in registration order during the same
 simulated instant.
 
-Events are the only synchronization primitive the kernel knows about;
-timeouts, process termination, resource grants and condition variables are
-all expressed as events.
+Events are the only synchronization primitive the kernel knows about,
+and :class:`Event` is the one event class: timeouts, processes, resource
+grants, composites, downstream calls and network responses are all
+instances of it or of a subclass that adds fields.
 
 Hot-path notes
 --------------
@@ -16,16 +17,17 @@ Millions of events per experiment live and die without anyone ever
 reading their label, so names are **lazy**: ``name`` may be a string, a
 zero-argument factory resolved on first read, or (for :class:`Grant`)
 derived from the owning resource only when ``repr`` or an error needs
-it.  :class:`SlimEvent` additionally skips the per-event callback *list*
-— the overwhelmingly common case is exactly one subscriber (the process
-or continuation waiting on the grant), which is stored directly.
+it.  Callbacks skip the per-event *list* until a second subscriber
+appears — the overwhelmingly common case is exactly one subscriber (the
+process or continuation waiting on the grant, job or response), which
+is stored directly.
 """
 
 from __future__ import annotations
 
 from .errors import StaleEventError
 
-__all__ = ["AllOf", "AnyOf", "Event", "Grant", "SlimEvent", "Timeout"]
+__all__ = ["AllOf", "AnyOf", "Event", "Grant", "Timeout"]
 
 _PENDING = 0
 _SUCCEEDED = 1
@@ -53,8 +55,10 @@ class Event:
         self._name = name
         self._state = _PENDING
         self._value = None
-        #: list of ``fn(event)`` invoked, in order, when the event triggers.
-        self.callbacks = []
+        #: ``fn(event)`` subscribers, run in registration order when the
+        #: event triggers: ``None`` (no subscriber yet), the one callable,
+        #: or a list once a second subscriber appears
+        self.callbacks = None
 
     # ------------------------------------------------------------------
     # naming
@@ -111,8 +115,12 @@ class Event:
         self._state = _SUCCEEDED
         self._value = value
         callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks:
-            callback(self)
+        if callbacks is not None:
+            if type(callbacks) is list:
+                for callback in callbacks:
+                    callback(self)
+            else:
+                callbacks(self)
         return self
 
     def fail(self, exception):
@@ -131,8 +139,12 @@ class Event:
         self._state = state
         self._value = value
         callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks:
-            callback(self)
+        if callbacks is not None:
+            if type(callbacks) is list:
+                for callback in callbacks:
+                    callback(self)
+            else:
+                callbacks(self)
 
     # ------------------------------------------------------------------
     # subscription
@@ -142,41 +154,6 @@ class Event:
 
         If the event already triggered, the callback runs synchronously.
         """
-        if self._state == _PENDING:
-            self.callbacks.append(callback)
-        else:
-            callback(self)
-        return self
-
-    def __repr__(self):
-        state = {_PENDING: "pending", _SUCCEEDED: "ok", _FAILED: "failed"}[
-            self._state
-        ]
-        label = self.name or self.__class__.__name__
-        return f"<{label} {state} at t={self.sim.now:.6f}>"
-
-
-class SlimEvent(Event):
-    """An event optimized for the zero-or-one-callback case.
-
-    ``callbacks`` holds ``None`` (no subscriber yet), a single callable,
-    or a list once a second subscriber appears — the per-event list
-    allocation is skipped on the grant/job/response hot paths, where the
-    only subscriber is the one waiter that created the event.  The
-    observable contract (registration order, synchronous delivery after
-    trigger) is identical to :class:`Event`.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim, name=None):
-        self.sim = sim
-        self._name = name
-        self._state = _PENDING
-        self._value = None
-        self.callbacks = None
-
-    def add_callback(self, callback):
         if self._state != _PENDING:
             callback(self)
             return self
@@ -189,35 +166,15 @@ class SlimEvent(Event):
             self.callbacks = [existing, callback]
         return self
 
-    def succeed(self, value=None):
-        if self._state != _PENDING:
-            raise StaleEventError(f"{self!r} triggered twice")
-        self._state = _SUCCEEDED
-        self._value = value
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks is not None:
-            if type(callbacks) is list:
-                for callback in callbacks:
-                    callback(self)
-            else:
-                callbacks(self)
-        return self
-
-    def _trigger(self, state, value):
-        if self._state != _PENDING:
-            raise StaleEventError(f"{self!r} triggered twice")
-        self._state = state
-        self._value = value
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks is not None:
-            if type(callbacks) is list:
-                for callback in callbacks:
-                    callback(self)
-            else:
-                callbacks(self)
+    def __repr__(self):
+        state = {_PENDING: "pending", _SUCCEEDED: "ok", _FAILED: "failed"}[
+            self._state
+        ]
+        label = self.name or self.__class__.__name__
+        return f"<{label} {state} at t={self.sim.now:.6f}>"
 
 
-class Grant(SlimEvent):
+class Grant(Event):
     """A queued admission handed out by ``Resource.acquire`` / ``Store.get``.
 
     Carries its owner so the label (``"<owner>.acquire"``) is built only

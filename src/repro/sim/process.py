@@ -45,7 +45,7 @@ class Process(Event):
         self._name = name or generator.__name__
         self._state = _PENDING
         self._value = None
-        self.callbacks = []
+        self.callbacks = None
         self.generator = generator
         # bound once: resumes happen millions of times per experiment,
         # and each `self.generator.send` lookup builds a bound method

@@ -46,7 +46,6 @@ class ChainSystem(GraphSystem):
     """A built linear chain, with the same surface as NTierSystem."""
 
     request_kind = "ChainRequest"
-    request_operation = "chain"
     clients_rng_label = "chain-clients"
 
     @property

@@ -213,19 +213,6 @@ class SystemConfig:
     def db_is_async(self):
         return self.nx >= 3
 
-    # the paper's derived thresholds -----------------------------------
-    @property
-    def web_max_sys_q_depth(self):
-        return self.web_threads + self.web_backlog  # 278
-
-    @property
-    def app_max_sys_q_depth(self):
-        return self.app_threads + self.app_backlog  # 293
-
-    @property
-    def db_max_sys_q_depth(self):
-        return self.db_threads + self.db_backlog  # 228
-
 
 def server_names(config):
     """Tier → server display name, matching the paper's stacks."""

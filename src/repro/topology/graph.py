@@ -21,6 +21,11 @@ joins its ``NodeSpec`` tiers into a path graph, and
 :func:`repro.topology.builder.build_system` turns a ``SystemConfig``
 into the web → app → db graph (replicated or not) and views the result
 by tier.  The construction order below replays both historical orders.
+
+A built graph's Poisson client (:meth:`GraphSystem.open_loop`) is the
+workload generators' :class:`~repro.workload.generators.OpenLoopPoisson`
+over a one-kind mix, so graph and chain requests are issued, logged and
+traced by the same client code as every other workload.
 """
 
 from __future__ import annotations
@@ -34,15 +39,14 @@ from ..apps.servlet import (
     Call,
     Compute,
     Gather,
-    Request,
     ServletError,
     StorageRead,
     StorageWrite,
 )
 from ..cpu.host import Host
 from ..metrics.monitor import SystemMonitor
-from ..metrics.trace import RequestLog, log_request
-from ..net.tcp import ConnectionTimeout, NetworkFabric
+from ..metrics.trace import RequestLog
+from ..net.tcp import NetworkFabric
 from ..servers.cache import LruCache
 from ..servers.policies import TierPolicy
 from ..servers.replica import BALANCERS, HedgingSpec, ReplicaGroup
@@ -50,6 +54,7 @@ from ..servers.runtime import PolicyServer
 from ..servers.storage import WriteBackStore
 from ..sim.kernel import Simulator
 from ..units import ms
+from ..workload.generators import OpenLoopPoisson
 
 #: valid :attr:`NodeSpec.kind` values
 NODE_KINDS = ("service", "cache", "storage")
@@ -507,10 +512,8 @@ class GraphSystem(ServiceSystem):
     ``names``/``hosts``/``vms``/``servers`` hold one entry per replica
     in node declaration order."""
 
-    #: RequestRecord kind logged by the built-in workload generators
+    #: the one request kind of the Poisson client (:meth:`open_loop`)
     request_kind = "GraphRequest"
-    #: operation tag of the client-created root requests
-    request_operation = "graph"
     #: default label of the client arrival RNG stream
     clients_rng_label = "graph-clients"
 
@@ -555,36 +558,30 @@ class GraphSystem(ServiceSystem):
     # workload
     # ------------------------------------------------------------------
     def open_loop(self, rate, rng_label=None):
-        """Attach a Poisson client at ``rate`` req/s."""
-        rng = self.sim.fork_rng(rng_label or self.clients_rng_label)
-
-        def arrivals():
-            while True:
-                yield rng.expovariate(rate)
-                self.sim.process(self._one_request())
-
-        self.sim.process(arrivals())
+        """Attach a Poisson client at ``rate`` req/s: an
+        :class:`~repro.workload.generators.OpenLoopPoisson` whose every
+        request is of kind :attr:`request_kind`."""
+        OpenLoopPoisson(
+            self.sim, self.fabric, self.entry, _OneKind(self.request_kind),
+            self.log, rate, rng_label=rng_label or self.clients_rng_label,
+        ).start()
         return self
-
-    def _one_request(self):
-        request = Request(self.request_kind, self.request_operation,
-                          self.sim.now)
-        exchange = self.entry.send(self.fabric, request)
-        failed = False
-        error = None
-        try:
-            response = yield exchange.response
-            if not response.ok:
-                failed = True
-                error = response.error
-        except ConnectionTimeout as exc:
-            failed = True
-            error = str(exc)
-        log_request(self.log, request, self.request_kind, self.sim.now,
-                    exchange.attempts, failed, error)
 
     def __repr__(self):
         return f"<GraphSystem {self.graph!r}>"
+
+
+class _OneKind:
+    """The interaction mix of :meth:`GraphSystem.open_loop`: one kind,
+    which is its own spec, so sampling draws no random number."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def sample(self, rng):
+        return self
 
 
 # ======================================================================

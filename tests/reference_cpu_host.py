@@ -38,7 +38,7 @@ from __future__ import annotations
 import heapq
 from heapq import heappop as _heappop
 
-from repro.sim.events import SlimEvent
+from repro.sim.events import Event
 
 __all__ = ["Host", "Vm", "Job"]
 
@@ -159,7 +159,7 @@ class Vm:
         """
         if work < 0:
             raise ValueError(f"negative work {work!r}")
-        done = SlimEvent(self.sim, name=self._job_event_name)
+        done = Event(self.sim, name=self._job_event_name)
         if work <= _WORK_EPSILON:
             done.succeed(None)
             return done

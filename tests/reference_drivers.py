@@ -9,7 +9,10 @@ and the event loop's ``_worker`` ran the parked continuations.  This
 module keeps that code as it was — ``_drive``, both ``_worker``
 methods, ``start``, ``_spawn_process``, the event loop's ``submit``
 and its ``_Task`` — with only the imports changed (as ``reference_kernel``
-keeps the heap kernel and ``reference_cpu_host`` the CPU model).
+keeps the heap kernel and ``reference_cpu_host`` the CPU model), except
+for the event loop's server-visit lifecycle, which follows the one the
+production drivers share: its ``_Task`` records the visit's ``start``
+and its worker finishes through ``PolicyServer._finish``.
 
 Plug a reference driver in by swapping it into the concurrency table
 while the servers are built, e.g.
@@ -99,6 +102,7 @@ class _Task:
 
     def __init__(self, server, exchange):
         self.exchange = exchange
+        exchange.payload.record(server.sim.now, "start", server.name)
         self.gen = server.handler(server.ctx, exchange.payload)
         self.ready = server._ready
         self.send_value = None
@@ -172,7 +176,6 @@ class ReferenceEventLoop(EventLoopConcurrency):
         time; never blocks on downstream calls."""
         ready = server._ready
         execute = server.vm.execute
-        stats = server.stats
         finish = server._finish
         handlers = INSTRUCTION_HANDLERS
         while True:
@@ -190,12 +193,12 @@ class ReferenceEventLoop(EventLoopConcurrency):
                     else:
                         step = send(task.send_value)
                 except StopIteration as stop:
-                    finish(task, Response.success(stop.value))
+                    finish(task.exchange, stop.value, None)
+                    server._task_done()
                     break
                 except ServletError as exc:
-                    stats.failed += 1
-                    finish(task, Response.failure(str(exc)),
-                           count_completed=False)
+                    finish(task.exchange, None, exc)
+                    server._task_done()
                     break
                 task.send_value = None
                 cls = step.__class__

@@ -11,8 +11,8 @@ import pstats
 
 import pytest
 
-from repro import bench
-from repro.cli import main
+from repro import bench, profile
+from repro.cli import EXPERIMENTS, main
 
 from reference_kernel import use_heap_kernel
 
@@ -115,6 +115,18 @@ def test_profile_list_names_experiments_and_benchmarks(capsys):
     assert "fig01" in out
     assert "kernel_callbacks" in out
     assert "fig01_streaming_1m" in out
+
+
+def test_every_listed_experiment_resolves_to_a_profile_target():
+    """Every experiment name ``repro profile list`` prints builds a
+    target (built here, not run), and the list holds every experiment
+    ``repro run`` knows."""
+    benches = {name for name, _workload, _repeats in bench.BENCHMARKS}
+    experiments = [name for name in profile.list_targets()
+                   if name not in benches]
+    assert set(experiments) == set(EXPERIMENTS)
+    for name in experiments:
+        assert callable(profile.EXPERIMENT_TARGETS[name](True)), name
 
 
 def test_profile_rejects_unknown_target(capsys):

@@ -15,6 +15,9 @@ from repro.metrics import (
     run_summary_to_json,
     timeseries_to_csv,
 )
+from repro.core import Scenario
+from repro.servers import TierPolicy
+from repro.topology import SystemConfig
 
 
 def make_series(name, pairs):
@@ -95,6 +98,26 @@ def test_run_summary_json(tmp_path):
     )
     # JSON must be fully serializable (no numpy scalars sneaking in)
     json.dumps(payload)
+
+
+@pytest.mark.parametrize("overrides, depths", [
+    ({"nx": 3}, [65663, 65663, 2128]),
+    ({"app_policy": TierPolicy.sync(threads=200)}, [278, 328, 228]),
+], ids=["nx3", "app_threads200"])
+def test_run_summary_echoes_each_built_servers_max_sys_q_depth(
+        tmp_path, overrides, depths):
+    """The echo is each tier's built server's MaxSysQDepth, for an
+    event-loop stack and a policy override alike, not threads +
+    backlog."""
+    result = Scenario(SystemConfig(seed=1, **overrides), clients=20,
+                      duration=1.0, warmup=0.2).run()
+    path = tmp_path / "summary.json"
+    run_summary_to_json(path, result)
+    echo = json.loads(path.read_text())["config"]
+    tiers = ("web", "app", "db")
+    assert [echo[f"{tier}_max_sys_q_depth"] for tier in tiers] == depths
+    assert depths == [result.system.servers[tier].max_sys_q_depth
+                      for tier in tiers]
 
 
 # ----------------------------------------------------------------------

@@ -165,20 +165,50 @@ def test_retransmission_gaps_ignore_sibling_legs():
 
 
 def test_retransmission_gaps_end_at_an_event_loop_call():
-    """An event-loop server records no ``start``: its first call (or an
-    error it answers with) ends the drop's dead time."""
-    trace = [
-        (0.0, "drop", "nginx"),
-        (3.0, "call", "nginx->tomcat"),
-        (3.001, "reply", "tomcat"),
-        (3.002, "reply", "nginx"),
-        (4.0, "drop", "xmysql"),
-        (7.0, "error", "xmysql: boom"),
-    ]
-    assert retransmission_gaps(trace) == [
-        (0.0, 3.0, "nginx"),
-        (4.0, 7.0, "xmysql"),
-    ]
+    """A real event-loop trace: a packet dropped at a full LiteQ is
+    retransmitted 3 s later, and its dead time ends when the front's
+    eager admission records ``start``, not at the ``call`` the front
+    then makes nor at its reply."""
+    from repro.apps.servlet import Call, Compute, Request
+    from repro.cpu import Host
+    from repro.net import NetworkFabric
+    from repro.servers import PolicyServer, TierPolicy
+    from repro.sim import Simulator
+
+    sim = Simulator(seed=3)
+    fabric = NetworkFabric(sim, latency=0.001, rto=3.0, max_retransmits=3)
+
+    def front_servlet(ctx, request):
+        yield Compute(0.5)
+        return (yield Call("back", "q"))
+
+    def back_servlet(ctx, request):
+        yield Compute(0.01)
+        return "row"
+
+    def server(name, handler, policy):
+        vm = Host(sim, cores=1, name=f"{name}-host").add_vm(f"{name}-vm")
+        return PolicyServer(sim, fabric, name, vm, handler, policy,
+                            backlog=0)
+
+    front = server("front", front_servlet,
+                   TierPolicy.asynchronous(lite_q_depth=1))
+    back = server("back", back_servlet, TierPolicy.sync(threads=1))
+    front.connect("back", back.listener)
+    requests = [Request("K", "op", 0.0) for _ in range(2)]
+    for request in requests:
+        fabric.send(front.listener, request)
+    sim.run()
+
+    trace = requests[1].trace
+    assert [event for _t, event, _d in trace] == [
+        "drop", "start", "call", "start", "reply", "reply"]
+    (drop, resume, listener), = retransmission_gaps(trace)
+    assert listener == "front"
+    assert drop == pytest.approx(0.001)
+    assert resume == trace[1][0] == pytest.approx(3.001)
+    assert [(s.server, s.outcome) for s in server_spans(trace)] == [
+        ("front", "reply"), ("back", "reply")]
 
 
 def test_retransmission_gaps_single_pass_scales():

@@ -237,69 +237,3 @@ def test_fifo_ordering_preserved(sim, fabric):
         fabric.send(listener, i)
     sim.run()
     assert order == list(range(10))
-
-
-# ----------------------------------------------------------------------
-# backoff and jitter options
-# ----------------------------------------------------------------------
-def test_exponential_backoff_schedule(sim):
-    """Kernel-style doubling: drops at 0, rto, 3*rto, 7*rto."""
-    fabric = NetworkFabric(sim, latency=0.0, rto=3.0, max_retransmits=3,
-                           backoff="exponential")
-    listener = fabric.listener("srv", backlog=0)
-    exchange = fabric.send(listener, "req")
-    sim.run(until=60.0)
-    assert [pytest.approx(t) for t, _n in exchange.drops] == [
-        0.0, 3.0, 9.0, 21.0
-    ]
-
-
-def test_invalid_backoff_rejected(sim):
-    with pytest.raises(ValueError):
-        NetworkFabric(sim, backoff="fibonacci")
-
-
-def test_jitter_validation(sim):
-    with pytest.raises(ValueError):
-        NetworkFabric(sim, jitter=1.0)
-    with pytest.raises(ValueError):
-        NetworkFabric(sim, jitter=-0.1)
-
-
-def test_jitter_spreads_latency_within_bounds(sim):
-    fabric = NetworkFabric(sim, latency=0.01, jitter=0.5)
-    listener = fabric.listener("srv", backlog=1024)
-    arrivals = []
-    original = listener.deliver
-
-    def spy(exchange):
-        arrivals.append(sim.now)
-        return original(exchange)
-
-    listener.deliver = spy
-    for i in range(200):
-        fabric.send(listener, i)
-    sim.run()
-    assert all(0.005 <= t <= 0.015 for t in arrivals)
-    assert len(set(round(t, 9) for t in arrivals)) > 100  # actually spread
-
-
-def test_jitter_is_deterministic_per_seed(sim):
-    def run_once():
-        s = Simulator(seed=99)
-        fabric = NetworkFabric(s, latency=0.01, jitter=0.3)
-        listener = fabric.listener("srv", backlog=1024)
-        times = []
-        original = listener.deliver
-
-        def spy(exchange):
-            times.append(s.now)
-            return original(exchange)
-
-        listener.deliver = spy
-        for i in range(20):
-            fabric.send(listener, i)
-        s.run()
-        return times
-
-    assert run_once() == run_once()

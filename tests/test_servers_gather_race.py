@@ -17,10 +17,12 @@ drivers and both request-log modes.
 
 import pytest
 
+from repro.apps.rubbos import InteractionSpec, RubbosApplication
 from repro.servers.gather import GatherCall, _GatherLeg
 from repro.servers.policies import TierPolicy
 from repro.sim import Resource, Simulator
 from repro.topology.graph import NodeSpec, build_graph, fan_out
+from repro.workload.generators import ScriptedBurst
 
 
 def make_gather(legs):
@@ -106,16 +108,17 @@ def _run_pooled_quorum(sync_root, streaming, requests=60, spacing=0.02):
     ]
     system = build_graph(fan_out(root, leaves, edge_pool=1), seed=42,
                          streaming=streaming)
-    sim = system.sim
-
-    def burst():
-        for _ in range(requests):
-            sim.process(system._one_request())
-            yield spacing
-
-    sim.process(burst())
+    # one request every ``spacing`` seconds, through the client path of
+    # every workload generator
+    kind = system.request_kind
+    ScriptedBurst(
+        system.sim, system.fabric, system.entry,
+        RubbosApplication([InteractionSpec(kind, 1.0, web_work=0.0)]),
+        system.log, [i * spacing for i in range(requests)], batch_size=1,
+        operation=kind,
+    ).start()
     # far past the last arrival: every gather settles and drains
-    sim.run(until=60.0)
+    system.sim.run(until=60.0)
     return system
 
 

@@ -273,6 +273,42 @@ def test_policy_server_factory_from_tier_policy(sim, fabric):
 
 
 # ----------------------------------------------------------------------
+# one server-visit lifecycle on both drivers
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("policy", [
+    TierPolicy.sync(threads=1),
+    TierPolicy.asynchronous(),
+    TierPolicy.shedding(depth=4, threads=1),
+], ids=["threads", "eventloop", "eager_threads"])
+def test_every_visit_traces_start_and_error_reason(sim, fabric, policy):
+    """A visit records ``start`` when a thread takes the request or the
+    eager admission hands it to the event loop, then one ``error``
+    that says why; it counts one failure and reports one sojourn, and
+    ``server_spans`` builds its span."""
+    from repro.metrics.spans import server_spans
+
+    front = PolicyServer(sim, fabric, "front", make_vm(sim),
+                         calling_handler("ghost"), policy)
+    sojourns = []
+    front.latency_observer = sojourns.append
+    requests = []
+    outcomes = send(sim, fabric, front.listener, requests=requests)
+    sim.run()
+    (request,) = requests
+    reason = "front has no route to tier 'ghost'"
+    assert request.trace == [
+        (0.0, "start", "front"),
+        (pytest.approx(0.001), "error", f"front: {reason}"),
+    ]
+    (span,) = server_spans(request.trace)
+    assert (span.server, span.outcome) == ("front", "error")
+    assert span.duration == pytest.approx(0.001)
+    assert outcomes[0].error == reason
+    assert sojourns == [pytest.approx(0.001)]
+    assert (front.stats.completed, front.stats.failed) == (0, 1)
+
+
+# ----------------------------------------------------------------------
 # load-shedding admission (bounded LiteQ + 503)
 # ----------------------------------------------------------------------
 def shedding_server(sim, fabric, depth=2, threads=1, work=1.0):

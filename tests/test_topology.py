@@ -23,9 +23,10 @@ from conftest import build_tiny_system
 # ----------------------------------------------------------------------
 def test_default_config_matches_paper_numbers():
     config = SystemConfig()
-    assert config.web_max_sys_q_depth == 278
-    assert config.app_max_sys_q_depth == 293
-    assert config.db_max_sys_q_depth == 228
+    servers = build_system(config).servers
+    assert servers["web"].max_sys_q_depth == 278
+    assert servers["app"].max_sys_q_depth == 293
+    assert servers["db"].max_sys_q_depth == 228
     assert config.db_pool_size == 50
     assert config.lite_q_depth == 65535
     assert config.xmysql_slots == 8

@@ -10,6 +10,7 @@ from repro.topology.graph import (
     build_graph,
     fan_out,
 )
+from repro.workload.generators import OpenLoopPoisson
 
 
 def diamond():
@@ -184,6 +185,26 @@ def test_gather_drives_every_leg_on_both_drivers(sync_root):
     # flight behind its completed count
     completed = len(system.log.completed)
     assert 0 < completed <= totals["gathers"]
+
+
+def test_open_loop_issues_through_the_poisson_client(monkeypatch):
+    """A graph's Poisson client is the workload generators' own
+    ``OpenLoopPoisson``, so its requests take the one client path."""
+    started = []
+    start = OpenLoopPoisson.start
+
+    def spy(client):
+        started.append(client)
+        return start(client)
+
+    monkeypatch.setattr(OpenLoopPoisson, "start", spy)
+    system = _run_fan_out(sync_root=True)
+    (client,) = started
+    assert client.entry is system.entry and client.log is system.log
+    assert client.rate == 60.0
+    assert 0 < len(system.log) <= client.issued
+    assert {record.kind for record in system.log.records} == {
+        "GraphRequest"}
 
 
 @pytest.mark.parametrize("sync_root", [True, False])

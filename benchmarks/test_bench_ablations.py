@@ -177,8 +177,7 @@ def test_extension_deep_chain_depth_sweep(once, benchmark):
     asynchronous depth absorbs the identical leaf stall."""
     from repro.experiments import deep_chain
 
-    sweep = once(deep_chain.run_depth_sweep, (3, 4, 5),
-                 scaled(30.0, minimum=25.0))
+    sweep = once(deep_chain.run, (3, 4, 5), scaled(30.0, minimum=25.0))
     benchmark.extra_info["drops"] = {
         f"{depth}-{kind}": sum(pair[kind]["drops"].values())
         for depth, pair in sweep.items() for kind in ("sync", "async")

@@ -7,36 +7,23 @@ queue plateaus sit relative to MaxSysQDepth.
 
 import pytest
 
-from repro.experiments import (
-    fig03_vm_consolidation,
-    fig05_log_flush,
-    fig07_nx1,
-    fig08_nx2_mysql,
-    fig09_nx2_xtomcat,
-    fig10_nx3_xtomcat,
-    fig11_nx3_xmysql,
-    run_timeline,
-)
+from repro.experiments import TIMELINES
 
 from conftest import scaled
 
+#: every row of the timeline table and its variants, at its own length
 TIMELINE_SPECS = [
-    ("fig03", fig03_vm_consolidation.SPEC, 45.0),
-    ("fig05", fig05_log_flush.SPEC, 80.0),
-    ("fig07", fig07_nx1.SPEC, 45.0),
-    ("fig07_mysql", fig07_nx1.SPEC_MYSQL, 45.0),
-    ("fig08", fig08_nx2_mysql.SPEC, 45.0),
-    ("fig09", fig09_nx2_xtomcat.SPEC, 45.0),
-    ("fig10", fig10_nx3_xtomcat.SPEC, 45.0),
-    ("fig11", fig11_nx3_xmysql.SPEC, 80.0),
+    (f"{name}_{variant}" if variant else name, spec)
+    for name, row in TIMELINES.items()
+    for variant, spec in ((None, row), *row.variants.items())
 ]
 
 
 @pytest.mark.parametrize(
-    "name, spec, duration", TIMELINE_SPECS, ids=[t[0] for t in TIMELINE_SPECS]
+    "name, spec", TIMELINE_SPECS, ids=[t[0] for t in TIMELINE_SPECS]
 )
-def test_timeline_figure(once, benchmark, name, spec, duration):
-    result = once(run_timeline, spec, duration=scaled(duration, minimum=30.0))
+def test_timeline_figure(once, benchmark, name, spec):
+    result = once(spec.run, duration=scaled(spec.duration, minimum=30.0))
 
     summary = result.summary()
     benchmark.extra_info["figure"] = spec.figure
@@ -60,7 +47,7 @@ def test_timeline_figure(once, benchmark, name, spec, duration):
 def test_fig03_queue_plateaus(once, benchmark):
     """Fig 3(b)'s specific numbers: Tomcat caps at 293; Apache grows
     from 278 to 428 via the second process."""
-    result = once(run_timeline, fig03_vm_consolidation.SPEC,
+    result = once(TIMELINES["fig03"].run,
                   duration=scaled(45.0, minimum=30.0))
     queue_max = result.run.queue_max()
     benchmark.extra_info["queue_max"] = queue_max
@@ -73,7 +60,7 @@ def test_fig03_queue_plateaus(once, benchmark):
 
 def test_fig08_mysql_plateau(once, benchmark):
     """Fig 8(b): MySQL's queue caps at exactly 228 = 100 + 128."""
-    result = once(run_timeline, fig08_nx2_mysql.SPEC,
+    result = once(TIMELINES["fig08"].run,
                   duration=scaled(45.0, minimum=30.0))
     queue_max = result.run.queue_max()
     benchmark.extra_info["queue_max"] = queue_max

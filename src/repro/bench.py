@@ -15,7 +15,7 @@ PRs can compare against.  This module provides
   per-benchmark ops/s and wall-clock) to ``BENCH_substrate.json`` so the
   repository accumulates a comparable history of substrate performance.
 
-Run via ``python -m repro bench`` (or ``scripts/bench_to_json.py``).
+Run via ``python -m repro bench``.
 ``--smoke`` shrinks the iteration counts 4x for CI-sized smoke checks;
 the equivalent environment knob is ``REPRO_BENCH_SCALE=0.25``.
 """

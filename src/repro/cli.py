@@ -3,16 +3,20 @@
 Subcommands
 -----------
 ``list``
-    Show every reproducible experiment.
-``run <experiment> [--duration S] [--out DIR]``
-    Run one experiment (or ``all``) and print its figure as text;
-    ``--out`` additionally writes the raw series/records as CSV+JSON.
+    Show every experiment of the registry
+    (:data:`repro.experiments.runner.REGISTRY`).
+``run <experiment> [--duration S] [--out DIR] [--diagnose]``
+    Run one experiment (or ``all``) at its own scale, print its figure
+    as text and exit 1 when its claims fail.  For an experiment with
+    single runs, ``--out`` also writes each run's raw series/records as
+    CSV+JSON and ``--diagnose`` appends each run's CTQO post-mortem.
 ``run-all [--workers N] [--seeds K] [--quick] [--out FILE]``
     Execute the whole experiment registry through the parallel engine
     (:mod:`repro.experiments.runner`); merged records are byte-identical
     for any worker count given the same seeds.
-``diagnose <experiment> [--duration S] [--out DIR]``
-    Run one experiment and print the automated causal post-mortem:
+``diagnose <experiment> [--variant V] [--workload N] [--duration S] [--out DIR]``
+    Run one experiment's representative single run and print the
+    automated causal post-mortem:
     the §III/§IV diagnosis plus per-request CTQO attribution (the
     paper's Fig 4 walk for every VLRT/dropped request).  ``--out``
     instruments the run with the event bus and writes a Perfetto
@@ -47,22 +51,7 @@ from .core.conditions import (
     minimum_millibottleneck_duration,
     predicted_overflow,
 )
-from .experiments import (
-    cache_storage,
-    fig01_histograms,
-    fig03_vm_consolidation,
-    fig05_log_flush,
-    fig07_nx1,
-    fig08_nx2_mysql,
-    fig09_nx2_xtomcat,
-    fig10_nx3_xtomcat,
-    fig11_nx3_xmysql,
-    fig12_throughput,
-    fanout,
-    headline_utilization,
-    policy_matrix,
-    scaleout,
-)
+from .experiments import runner
 from .metrics.export import (
     chrome_trace_to_json,
     events_to_jsonl,
@@ -71,69 +60,18 @@ from .metrics.export import (
     timeseries_to_csv,
 )
 
-__all__ = ["main", "EXPERIMENTS"]
-
-#: timeline experiments share the run()->TimelineResult interface
-_TIMELINES = {
-    "fig03": fig03_vm_consolidation,
-    "fig05": fig05_log_flush,
-    "fig07": fig07_nx1,
-    "fig08": fig08_nx2_mysql,
-    "fig09": fig09_nx2_xtomcat,
-    "fig10": fig10_nx3_xtomcat,
-    "fig11": fig11_nx3_xmysql,
-}
-
-#: experiment name -> one-line description (for ``list``)
-EXPERIMENTS = {
-    "fig01": "response-time histograms at WL 4000/7000/8000 (multi-modal tail)",
-    "fig03": "upstream CTQO from VM consolidation (drops at Apache)",
-    "fig05": "upstream CTQO from log flushing (I/O millibottleneck)",
-    "fig07": "NX=1 Nginx-Tomcat-MySQL (drops move to Tomcat)",
-    "fig08": "NX=2, millibottleneck in MySQL (drops at MySQL, 228)",
-    "fig09": "NX=2, millibottleneck in XTomcat (batch floods MySQL)",
-    "fig10": "NX=3, CPU millibottleneck (no CTQO)",
-    "fig11": "NX=3, I/O millibottleneck (no CTQO)",
-    "fig12": "throughput vs concurrency: 2000 threads vs async",
-    "headline": "the abstract's 43% vs 83% utilization claim",
-    "policy_matrix": "admission x concurrency x remediation hybrids at WL 7000",
-    "scaleout": "load balancing + hedging across 3 replicas/tier at WL 7000",
-    "fanout": "1xN fan-out/fan-in DAG: tail at scale + lateral CTQO",
-    "cache_storage": "cache/storage tiers: miss storms + write-back "
-                     "bufferbloat",
-}
-
-#: diagnosable experiments that run named variant cells: module plus
-#: the default cell ``repro diagnose`` picks when --variant is omitted
-_VARIANT_EXPERIMENTS = {
-    "cache_storage": (cache_storage, "storm"),
-    "fanout": (fanout, "sync"),
-    "policy_matrix": (policy_matrix, "shed_web"),
-    "scaleout": (scaleout, "rpc_round_robin"),
-}
-
-#: ``repro diagnose`` workload/duration overrides for experiments whose
-#: tuned operating point differs from the WL-7000/40s house default
-_DIAGNOSE_DEFAULTS = {
-    "cache_storage": {"clients": 4200, "duration": 16.0},
-}
+__all__ = ["build_parser", "main"]
 
 
-def _run_timeline(name, args):
-    from .experiments.timeline import run_timeline
-
-    module = _TIMELINES[name]
-    result = run_timeline(module.SPEC, duration=args.duration,
-                          streaming=args.streaming)
-    print(result.report())
-    if getattr(args, "diagnose", False):
-        from .core.diagnosis import diagnose
-
-        print()
-        print(diagnose(result.run).render())
-    if args.out:
-        _export_timeline(name, result, args.out)
-    return 0 if not result.check_claims() else 1
+def _cmd_list(_args):
+    """Print the registry: one line per experiment (``list`` and
+    ``run-all --list``)."""
+    width = max(len(name) for name in runner.REGISTRY)
+    for name, spec in runner.REGISTRY.items():
+        variants = len(spec.variants or ({},))
+        suffix = f"  [{variants} variants]" if variants > 1 else ""
+        print(f"{name:<{width}}  {spec.description}{suffix}")
+    return 0
 
 
 def _live_trace_tracks(run):
@@ -145,138 +83,54 @@ def _live_trace_tracks(run):
     return telemetry.windows, telemetry.detector.millibottlenecks()
 
 
-def _export_timeline(name, result, out_dir):
+def _export_run(label, run, out_dir, recorder=None):
+    """Write one single run's raw data into ``out_dir``: the gauge and
+    request CSVs, the summary JSON and the Perfetto trace, each named
+    ``<label>_<kind>``; with ``recorder``, also its bus events."""
     os.makedirs(out_dir, exist_ok=True)
-    run = result.run
+
+    def path(kind):
+        return os.path.join(out_dir, f"{label}_{kind}")
+
     monitor = run.monitor
-    timeseries_to_csv(os.path.join(out_dir, f"{name}_cpu.csv"), monitor.cpu)
-    timeseries_to_csv(os.path.join(out_dir, f"{name}_queues.csv"),
-                      monitor.queues)
-    request_log_to_csv(os.path.join(out_dir, f"{name}_requests.csv"),
-                       run.log)
-    run_summary_to_json(os.path.join(out_dir, f"{name}_summary.json"), run)
+    timeseries_to_csv(path("cpu.csv"), monitor.cpu)
+    timeseries_to_csv(path("queues.csv"), monitor.queues)
+    request_log_to_csv(path("requests.csv"), run.log)
+    run_summary_to_json(path("summary.json"), run)
     windows, episodes = _live_trace_tracks(run)
-    chrome_trace_to_json(os.path.join(out_dir, f"{name}_trace.json"),
-                         monitor=monitor, log=run.log,
-                         windows=windows, episodes=episodes)
-    print(f"\n[raw data written to {out_dir}/]")
+    chrome_trace_to_json(path("trace.json"), monitor=monitor, log=run.log,
+                         recorder=recorder, windows=windows,
+                         episodes=episodes)
+    if recorder is not None:
+        events_to_jsonl(path("events.jsonl"), recorder)
 
 
-def _run_fig01(args):
-    duration = args.duration or 90.0
-    panels = fig01_histograms.run(duration=duration,
-                                  streaming=args.streaming)
-    print(fig01_histograms.report(panels))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for clients, panel in panels.items():
-            request_log_to_csv(
-                os.path.join(args.out, f"fig01_wl{clients}_requests.csv"),
-                panel["result"].log,
-            )
-        print(f"\n[raw data written to {args.out}/]")
-    return 0
+def _run_and_print(name, experiment, args):
+    """``repro run NAME``: the experiment at its own scale, its report,
+    and (``--diagnose``/``--out``) each of its single runs."""
+    options = {}
+    if args.duration is not None:
+        options["duration"] = args.duration
+    if args.streaming:
+        options["streaming"] = True
+    result = experiment.run(**options)
+    print(experiment.report(result))
+    if args.diagnose or args.out:
+        from .core.diagnosis import diagnose
 
-
-def _run_fig12(args):
-    sweep = fig12_throughput.run(duration=args.duration or 25.0,
-                                 streaming=args.streaming)
-    print(fig12_throughput.report(sweep))
-    return 0
-
-
-def _run_policy_matrix(args):
-    cells = policy_matrix.run(duration=args.duration or 40.0,
-                              streaming=args.streaming)
-    print(policy_matrix.report(cells))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for name, cell in cells.items():
-            request_log_to_csv(
-                os.path.join(args.out, f"policy_{name}_requests.csv"),
-                cell["result"].log,
-            )
-            run_summary_to_json(
-                os.path.join(args.out, f"policy_{name}_summary.json"),
-                cell["result"],
-            )
-        print(f"\n[raw data written to {args.out}/]")
-    return 0 if not policy_matrix.check_claims(cells) else 1
-
-
-def _run_scaleout(args):
-    cells = scaleout.run(duration=args.duration or 40.0,
-                         streaming=args.streaming)
-    print(scaleout.report(cells))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for name, cell in cells.items():
-            request_log_to_csv(
-                os.path.join(args.out, f"scaleout_{name}_requests.csv"),
-                cell["result"].log,
-            )
-            run_summary_to_json(
-                os.path.join(args.out, f"scaleout_{name}_summary.json"),
-                cell["result"],
-            )
-        print(f"\n[raw data written to {args.out}/]")
-    return 0 if not scaleout.check_claims(cells) else 1
-
-
-def _run_fanout(args):
-    cells = fanout.run(duration=args.duration or 12.0,
-                       streaming=args.streaming)
-    print(fanout.report(cells))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        flat = {f"scaling_n{n}": cell
-                for n, cell in cells["scaling"].items()}
-        flat.update({f"stall_{name}": cell
-                     for name, cell in cells["stall"].items()})
-        for name, cell in flat.items():
-            request_log_to_csv(
-                os.path.join(args.out, f"fanout_{name}_requests.csv"),
-                cell["result"].log,
-            )
-            run_summary_to_json(
-                os.path.join(args.out, f"fanout_{name}_summary.json"),
-                cell["result"],
-            )
-        print(f"\n[raw data written to {args.out}/]")
-    return 0 if not fanout.check_claims(cells) else 1
-
-
-def _run_cache_storage(args):
-    cells = cache_storage.run(duration=args.duration or 16.0,
-                              streaming=args.streaming)
-    print(cache_storage.report(cells))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for name, cell in cells.items():
-            request_log_to_csv(
-                os.path.join(args.out, f"cache_{name}_requests.csv"),
-                cell["result"].log,
-            )
-            run_summary_to_json(
-                os.path.join(args.out, f"cache_{name}_summary.json"),
-                cell["result"],
-            )
-        print(f"\n[raw data written to {args.out}/]")
-    return 0 if not cache_storage.check_claims(cells) else 1
-
-
-def _run_headline(args):
-    points = headline_utilization.run(duration=args.duration or 60.0,
-                                      streaming=args.streaming)
-    print(headline_utilization.report(points))
-    return 0
-
-
-def _cmd_list(_args):
-    width = max(len(name) for name in EXPERIMENTS)
-    for name, description in EXPERIMENTS.items():
-        print(f"{name:<{width}}  {description}")
-    return 0
+        for cell, run in experiment.runs(result).items():
+            if args.diagnose:
+                print()
+                if cell:
+                    print(f"--- {cell} ---")
+                print(diagnose(run).render())
+            if args.out:
+                _export_run(f"{name}_{cell}" if cell else name, run,
+                            args.out)
+        if args.out:
+            print(f"\n[raw data written to {args.out}/]")
+    check_claims = getattr(experiment, "check_claims", None)
+    return 1 if check_claims is not None and check_claims(result) else 0
 
 
 def _live_settings(args):
@@ -291,11 +145,25 @@ def _live_settings(args):
 
 
 def _cmd_run(args):
-    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    if args.experiment == "all":
+        names = runner.names_with("run")
+    elif hasattr(runner.experiment(args.experiment), "run"):
+        names = [args.experiment]
+    else:
+        print(f"error: {args.experiment} prints no figure of its own; run "
+              f"it with 'repro run-all --jobs {args.experiment}'",
+              file=sys.stderr)
+        return 2
+    experiments = {name: runner.experiment(name) for name in names}
+    if args.out or args.diagnose:
+        plain = [name for name, experiment in experiments.items()
+                 if not hasattr(experiment, "runs")]
+        if plain:
+            print("error: --out and --diagnose act on single runs, which "
+                  f"{', '.join(plain)} keep(s) none", file=sys.stderr)
+            return 2
     if args.streaming:
-        from .experiments.runner import STREAMING_UNSUPPORTED
-
-        unsupported = sorted(set(names) & STREAMING_UNSUPPORTED)
+        unsupported = sorted(set(names) & runner.STREAMING_UNSUPPORTED)
         if unsupported:
             print(f"error: {', '.join(unsupported)} need(s) the exact "
                   "per-request log and cannot run with --streaming",
@@ -316,27 +184,8 @@ def _cmd_run(args):
         live_mode.configure(sink=sink, **live_settings)
     status = 0
     try:
-        for name in names:
-            if name in _TIMELINES:
-                status |= _run_timeline(name, args)
-            elif name == "fig01":
-                status |= _run_fig01(args)
-            elif name == "fig12":
-                status |= _run_fig12(args)
-            elif name == "headline":
-                status |= _run_headline(args)
-            elif name == "policy_matrix":
-                status |= _run_policy_matrix(args)
-            elif name == "scaleout":
-                status |= _run_scaleout(args)
-            elif name == "fanout":
-                status |= _run_fanout(args)
-            elif name == "cache_storage":
-                status |= _run_cache_storage(args)
-            else:
-                print(f"unknown experiment {name!r}; try 'list'",
-                      file=sys.stderr)
-                return 2
+        for name, experiment in experiments.items():
+            status |= _run_and_print(name, experiment, args)
             print()
     finally:
         if live_settings is not None:
@@ -348,16 +197,10 @@ def _cmd_run(args):
 
 def _cmd_run_all(args):
     from .experiments import record as record_module
-    from .experiments import runner
     from .experiments.report import run_report_table
 
     if args.list:
-        width = max(len(name) for name in runner.REGISTRY)
-        for name, spec in runner.REGISTRY.items():
-            variants = len(spec.variants or ({},))
-            suffix = f"  [{variants} variants]" if variants > 1 else ""
-            print(f"{name:<{width}}  {spec.description}{suffix}")
-        return 0
+        return _cmd_list(args)
 
     if args.jobs is None:
         names = None
@@ -423,9 +266,20 @@ def _cmd_run_all(args):
 
 
 def _cmd_diagnose(args):
-    """Run one experiment and print the full causal post-mortem."""
+    """Run one experiment's representative single run and print the
+    full causal post-mortem."""
     from .core.diagnosis import diagnose
-    from .experiments.timeline import run_timeline
+
+    name = args.experiment
+    overrides = {key: value for key, value in (
+        ("variant", args.variant), ("clients", args.workload),
+        ("duration", args.duration),
+    ) if value is not None}
+    try:
+        heading, simulate = runner.experiment(name).single_run(**overrides)
+    except ValueError as exc:
+        print(f"{name}: {exc}", file=sys.stderr)
+        return 2
 
     bus = recorder = None
     if args.out:
@@ -436,63 +290,19 @@ def _cmd_diagnose(args):
 
         bus = EventBus()
         recorder = EventRecorder(bus, capacity=args.events)
+    run = simulate(bus)
 
-    name = args.experiment
-    if name in _VARIANT_EXPERIMENTS:
-        module, default_variant = _VARIANT_EXPERIMENTS[name]
-        variant = args.variant or default_variant
-        if variant not in module.VARIANTS:
-            print(f"unknown {name} variant {variant!r}; valid variants: "
-                  + ", ".join(sorted(module.VARIANTS)), file=sys.stderr)
-            return 2
-        defaults = _DIAGNOSE_DEFAULTS.get(name, {})
-        duration = args.duration or defaults.get("duration", 40.0)
-        workload = args.workload or defaults.get("clients", 7000)
-        cell = module.run_one(
-            variant, clients=workload, duration=duration, bus=bus
-        )
-        run = cell["result"]
-        heading = (f"{name}/{variant} @ WL {workload}, "
-                   f"{duration:.0f}s")
-    elif name == "fig01":
-        duration = args.duration or 45.0
-        workload = args.workload or 7000
-        panel = fig01_histograms.run_one(
-            workload, duration=duration, warmup=5.0, bus=bus
-        )
-        run = panel["result"]
-        heading = f"fig01 @ WL {workload}, {duration:.0f}s"
-    else:
-        module = _TIMELINES[name]
-        result = run_timeline(module.SPEC, duration=args.duration, bus=bus)
-        run = result.run
-        heading = (f"{name}: {module.SPEC.title} "
-                   f"({result.spec.duration:.0f}s)")
-
-    print(f"=== repro diagnose: {heading} ===\n")
+    print(f"=== repro diagnose: {name}{heading} ===\n")
     print(diagnose(run).render())
     print()
     print(run.attribution().render(examples=args.examples))
 
     if args.out:
-        out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
-        windows, episodes = _live_trace_tracks(run)
-        chrome_trace_to_json(
-            os.path.join(out_dir, f"{name}_trace.json"),
-            monitor=run.monitor, log=run.log, recorder=recorder,
-            windows=windows, episodes=episodes,
-        )
-        events_to_jsonl(os.path.join(out_dir, f"{name}_events.jsonl"),
-                        recorder)
-        request_log_to_csv(os.path.join(out_dir, f"{name}_requests.csv"),
-                           run.log)
-        run_summary_to_json(os.path.join(out_dir, f"{name}_summary.json"),
-                            run)
+        _export_run(name, run, args.out, recorder=recorder)
         dropped = recorder.recorded - len(recorder.events)
         note = f" ({dropped} oldest events beyond capacity)" if dropped else ""
         print(f"\n[trace + {len(recorder.events)} bus events{note} "
-              f"written to {out_dir}/]")
+              f"written to {args.out}/]")
         if recorder.truncated:
             print(f"WARNING: the event recorder evicted {dropped} of "
                   f"{recorder.recorded} events (capacity {recorder.capacity});"
@@ -592,7 +402,7 @@ def build_parser():
 
     run_parser = sub.add_parser("run", help="run an experiment (or 'all')")
     run_parser.add_argument("experiment",
-                            choices=sorted(EXPERIMENTS) + ["all"])
+                            choices=list(runner.REGISTRY) + ["all"])
     run_parser.add_argument("--duration", type=float, default=None,
                             help="simulated seconds (default: the figure's)")
     run_parser.add_argument("--out", default=None,
@@ -653,20 +463,19 @@ def build_parser():
         "diagnose",
         help="run an experiment and print the CTQO causal post-mortem",
     )
-    diag_parser.add_argument(
-        "experiment",
-        choices=["fig01"] + sorted(_VARIANT_EXPERIMENTS) + sorted(_TIMELINES),
-    )
+    diag_parser.add_argument("experiment",
+                             choices=runner.names_with("single_run"))
     diag_parser.add_argument("--duration", type=float, default=None,
-                             help="simulated seconds (default: the figure's)")
+                             help="simulated seconds (default: the "
+                                  "experiment's own)")
     diag_parser.add_argument("--workload", type=int, default=None,
-                             help="client count for fig01 and variant "
-                                  "experiments (default 7000; "
-                                  "cache_storage 4200)")
+                             help="client count (default: the "
+                                  "experiment's own)")
     diag_parser.add_argument("--variant", default=None,
-                             help="grid cell to diagnose (policy_matrix: "
-                                  "default shed_web; scaleout: default "
-                                  "rpc_round_robin; fanout: default sync)")
+                             help="cell to diagnose (default: the "
+                                  "experiment's own, e.g. policy_matrix "
+                                  "shed_web, fig07 none: 'mysql' picks "
+                                  "the §V-B variant)")
     diag_parser.add_argument("--examples", type=int, default=3,
                              help="example causal chains to print")
     diag_parser.add_argument("--out", default=None,

@@ -26,7 +26,6 @@ from ..metrics.detector import (
 )
 from ..topology.builder import build_system
 from ..topology.configs import SystemConfig
-from ..workload.burst import BurstModulator
 from ..workload.generators import ClosedLoopPopulation, ScriptedBurst
 from ..workload.openloop import ArrayOpenLoop
 
@@ -294,7 +293,7 @@ class Scenario:
     """
 
     def __init__(self, config=None, clients=7000, think_mean=None,
-                 duration=60.0, warmup=5.0, burst_index=1, bus=None,
+                 duration=60.0, warmup=5.0, bus=None,
                  live=None):
         self.config = config or SystemConfig()
         self.clients = clients
@@ -305,7 +304,6 @@ class Scenario:
             raise ValueError("duration must exceed warmup")
         self.duration = duration
         self.warmup = warmup
-        self.burst_index = burst_index
         #: optional instrumentation EventBus, forwarded to build_system
         self.bus = bus
         #: optional :class:`~repro.metrics.live.LiveConfig`; when None
@@ -403,35 +401,22 @@ class Scenario:
             system.log.set_warmup(self.warmup)
         monitor = system.attach_monitor()
 
-        live_config = self.live if self.live is not None \
-            else live_telemetry.active()
-        telemetry = None
-        sampler = None
-        if live_config is not None:
-            telemetry = live_config.build(sim).attach(system, monitor)
-            sampler = telemetry.sampler
+        telemetry, sampler = live_telemetry.attach_configured(
+            system, monitor, self.live
+        )
 
         if self._open_loop is not None:
-            if self.burst_index > 1:
-                raise ValueError(
-                    "burst_index modulates closed-loop think times; "
-                    "use a pareto/lognormal open loop for bursty arrivals"
-                )
             ArrayOpenLoop(
                 sim, system.fabric, system.entry, system.app, system.log,
                 horizon=self.duration, sampler=sampler,
                 **self._open_loop,
             ).start()
         else:
-            modulator = None
-            if self.burst_index > 1:
-                modulator = BurstModulator.from_index(sim, self.burst_index)
-            population = ClosedLoopPopulation(
+            ClosedLoopPopulation(
                 sim, system.fabric, system.entry, system.app, system.log,
                 clients=self.clients, think_mean=self.think_mean,
-                modulator=modulator, sampler=sampler,
-            )
-            population.start()
+                sampler=sampler,
+            ).start()
 
         injectors = []
         for kind, spec in self._injector_specs:

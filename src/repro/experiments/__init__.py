@@ -1,17 +1,12 @@
-"""One module per figure/table of the paper's evaluation.
+"""The paper's evaluation, one registry entry per figure or table.
 
 ========================  =============================================
 Module                    Reproduces
 ========================  =============================================
 fig01_histograms          Fig 1 — multi-modal response-time histograms
 fig02_full_sysbursty      Fig 2 — full two-system consolidation (emergent)
-fig03_vm_consolidation    Fig 3 — upstream CTQO (CPU millibottleneck)
-fig05_log_flush           Fig 5 — upstream CTQO (I/O millibottleneck)
-fig07_nx1                 Fig 7 + §V-B — NX=1 yes-and-no
-fig08_nx2_mysql           Fig 8 — NX=2, downstream CTQO at MySQL
-fig09_nx2_xtomcat         Fig 9 — NX=2, XTomcat's batch floods MySQL
-fig10_nx3_xtomcat         Fig 10 — NX=3, no CTQO (CPU millibottleneck)
-fig11_nx3_xmysql          Fig 11 — NX=3, no CTQO (I/O millibottleneck)
+timeline                  Figs 3, 5, 7 (+ §V-B), 8, 9, 10, 11 — one row
+                          each of ``TIMELINES``
 fig12_throughput          Fig 12 — 2000 threads vs async throughput
 cache_storage             extension — miss storms + write-back bufferbloat
 deep_chain                extension — multi-hop CTQO in 4/5-tier chains
@@ -24,71 +19,33 @@ cause_variety             §III — CPU/disk/GC/network causes, same CTQO
 headline_utilization      abstract — 43 % sync vs 83 % async claim
 ========================  =============================================
 
-Each module exposes ``run(...)`` (returns structured results, scalable
-down for tests), ``main()`` (prints the figure as text) and
-``run_experiment(config)`` — the uniform entry point used by the
-parallel execution engine in :mod:`repro.experiments.runner`, whose
-:data:`~repro.experiments.runner.REGISTRY` is the canonical list of
-every runnable experiment (``python -m repro run-all``).
+:data:`~repro.experiments.runner.REGISTRY` is the one list of every
+runnable experiment: ``python -m repro list`` prints it, ``repro run
+NAME`` prints one experiment as text and ``repro run-all`` executes the
+registry through the parallel engine.  Each experiment offers
+``run_experiment(config)``, the engine's uniform entry point, plus the
+interface ``repro run``, ``diagnose`` and ``profile`` drive (``run``,
+``report``, ...; see :mod:`repro.experiments.runner`).
 """
 
-from . import (  # noqa: F401
-    cache_storage,
-    cause_variety,
-    deep_chain,
-    fanout,
-    replication,
-    validation,
-    fig01_histograms,
-    fig02_full_sysbursty,
-    fig03_vm_consolidation,
-    fig05_log_flush,
-    fig07_nx1,
-    fig08_nx2_mysql,
-    fig09_nx2_xtomcat,
-    fig10_nx3_xtomcat,
-    fig11_nx3_xmysql,
-    fig12_throughput,
-    headline_utilization,
-    policy_matrix,
-    scaleout,
-)
-from . import runner  # noqa: F401
 from .runner import (
     REGISTRY,
     JobConfig,
     RunReport,
     expand_jobs,
+    experiment,
     run_jobs,
 )
-from .timeline import TimelineResult, TimelineSpec, run_timeline
+from .timeline import TIMELINES, TimelineResult, TimelineSpec
 
 __all__ = [
     "JobConfig",
     "REGISTRY",
     "RunReport",
+    "TIMELINES",
     "TimelineResult",
     "TimelineSpec",
     "expand_jobs",
+    "experiment",
     "run_jobs",
-    "runner",
-    "cache_storage",
-    "cause_variety",
-    "deep_chain",
-    "fanout",
-    "replication",
-    "validation",
-    "fig01_histograms",
-    "fig02_full_sysbursty",
-    "fig03_vm_consolidation",
-    "fig05_log_flush",
-    "fig07_nx1",
-    "fig08_nx2_mysql",
-    "fig09_nx2_xtomcat",
-    "fig10_nx3_xtomcat",
-    "fig11_nx3_xmysql",
-    "fig12_throughput",
-    "headline_utilization",
-    "run_timeline",
-    "scaleout",
 ]

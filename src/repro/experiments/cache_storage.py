@@ -48,23 +48,26 @@ read tail collapses while client throughput holds.
 from __future__ import annotations
 
 from ..core.evaluation import GraphRunResult
+from ..metrics import live
 from ..metrics.detector import cache_miss_episodes
 from ..servers.policies import RemediationSpec, TierPolicy
 from ..sim.kernel import Simulator
 from ..topology.graph import EdgeSpec, NodeSpec, ServiceGraph, build_graph
 from ..units import ms
 from .report import format_table
+from .runner import variant_single_run
 
 __all__ = [
     "VARIANTS",
     "build_cache_storage",
     "cache_storage_outcomes",
     "check_claims",
-    "main",
     "report",
     "run",
     "run_experiment",
     "run_one",
+    "runs",
+    "single_run",
 ]
 
 #: WL → open-loop arrival rate, same convention as the other graph
@@ -84,6 +87,14 @@ VARIANTS = {
     "bufferbloat": dict(family="storage", bounded=False),
     "bufferbloat_bounded": dict(family="storage", bounded=True),
 }
+
+#: the cell ``repro diagnose`` and ``repro profile`` run by default
+CELL = "storm"
+#: every cell's workload and simulated seconds, unless overridden:
+#: 600 req/s, three times what the backing tier sustains without the
+#: cache
+CLIENTS = 4200
+DURATION = 16.0
 
 # -- cache family ------------------------------------------------------
 #: hot keyspace; sized *under* the backing queue so coalesced misses
@@ -184,8 +195,8 @@ def _prewarm(cache):
         cache.put(key, {"tier": "db", "key": key})
 
 
-def run_one(variant, clients=4200, duration=16.0, warmup=2.0, seed=42,
-            bus=None, streaming=False):
+def run_one(variant, clients=CLIENTS, duration=DURATION, warmup=2.0,
+            seed=42, bus=None, streaming=False):
     """Run one cell; returns a dict with the cell's observables."""
     if variant not in VARIANTS:
         known = ", ".join(VARIANTS)
@@ -198,6 +209,7 @@ def run_one(variant, clients=4200, duration=16.0, warmup=2.0, seed=42,
     if streaming and warmup:
         system.log.set_warmup(warmup)
     monitor = system.attach_monitor()
+    telemetry, sampler = live.attach_configured(system, monitor)
 
     if spec["family"] == "cache":
         cache = system.caches["cache"]
@@ -227,11 +239,14 @@ def run_one(variant, clients=4200, duration=16.0, warmup=2.0, seed=42,
 
         sim.process(flusher())
 
-    system.open_loop(rate)
+    system.open_loop(rate, sampler=sampler)
     sim.run(until=duration)
+    if telemetry is not None:
+        telemetry.finish()
 
     log = system.log.after(warmup) if warmup else system.log
-    result = GraphRunResult(system, log, monitor, duration, warmup)
+    result = GraphRunResult(system, log, monitor, duration, warmup,
+                            telemetry=telemetry)
     summary = result.summary()
     cell = {
         "variant": variant,
@@ -280,8 +295,8 @@ def run_one(variant, clients=4200, duration=16.0, warmup=2.0, seed=42,
     return cell
 
 
-def run(clients=4200, duration=16.0, warmup=2.0, seed=42, variants=None,
-        streaming=False):
+def run(clients=CLIENTS, duration=DURATION, warmup=2.0, seed=42,
+        variants=None, streaming=False):
     """All requested cells at the same offered load.
 
     Returns ``{variant: cell}`` in :data:`VARIANTS` order.
@@ -296,6 +311,18 @@ def run(clients=4200, duration=16.0, warmup=2.0, seed=42, variants=None,
                       warmup=warmup, seed=seed, streaming=streaming)
         for name in VARIANTS if name in names
     }
+
+
+def runs(cells):
+    """Each cell's RunResult, labelled by its variant."""
+    return {name: cell["result"] for name, cell in cells.items()}
+
+
+def single_run(variant=CELL, clients=CLIENTS, duration=DURATION):
+    """The cell ``repro diagnose`` and ``repro profile`` run:
+    ``(heading, simulate)`` (see :mod:`repro.experiments.runner`)."""
+    return variant_single_run(run_one, VARIANTS, variant, clients,
+                              duration)
 
 
 # ----------------------------------------------------------------------
@@ -463,8 +490,8 @@ def run_experiment(config):
     """Uniform registry entry point (see repro.experiments.runner)."""
     params = config.params
     cells = run(
-        clients=int(params.get("clients", 4200)),
-        duration=config.duration or 16.0,
+        clients=int(params.get("clients", CLIENTS)),
+        duration=config.duration or DURATION,
         seed=config.seed,
         variants=params.get("variants"),
         streaming=bool(params.get("streaming", False)),
@@ -542,13 +569,3 @@ def check_claims(cells):
         for name, evidence in cache_storage_outcomes(cells).items()
         if evidence.get("holds") is False
     ]
-
-
-def main():
-    cells = run()
-    print(report(cells))
-    return cells
-
-
-if __name__ == "__main__":
-    main()

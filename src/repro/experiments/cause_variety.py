@@ -16,7 +16,7 @@ from ..core.evaluation import Scenario
 from ..topology.configs import SystemConfig
 from .report import format_table
 
-__all__ = ["CAUSES", "run", "run_experiment", "report", "main"]
+__all__ = ["CAUSES", "report", "run", "run_experiment"]
 
 CAUSES = ("cpu", "io", "gc", "network")
 
@@ -99,13 +99,3 @@ def report(points):
         "the paper's\npoint that CTQO depends on the queueing structure, "
         "not on what stalled."
     )
-
-
-def main():
-    points = run()
-    print(report(points))
-    return points
-
-
-if __name__ == "__main__":
-    main()

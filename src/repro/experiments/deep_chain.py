@@ -15,18 +15,22 @@ threshold at lighter millibottlenecks.
 
 from __future__ import annotations
 
+from ..metrics import live
 from ..servers.policies import TierPolicy
 from ..topology.chain import build_chain, uniform_chain
 from ..units import ms
 from .report import format_table
 
-__all__ = ["run", "run_depth_sweep", "run_experiment", "main"]
+__all__ = ["DEPTHS", "report", "run", "run_experiment", "run_one"]
 
 #: arrival rate for the open-loop chain client (req/s)
 RATE = 900.0
 
 #: millibottleneck: freeze the deepest tier for this long
 STALL = 1.0
+
+#: chain depths of the sweep
+DEPTHS = (3, 4, 5)
 
 
 def _chain_tiers(depth, sync):
@@ -41,16 +45,19 @@ def _chain_tiers(depth, sync):
     return tiers
 
 
-def run(depth=5, sync=True, duration=30.0, stall_at=12.0, seed=42,
-        streaming=False):
+def run_one(depth=5, sync=True, duration=30.0, stall_at=12.0, seed=42,
+            streaming=False):
     """One chain run with a freeze-millibottleneck at the deepest tier."""
     system = build_chain(_chain_tiers(depth, sync), seed=seed,
                          streaming=streaming)
     monitor = system.attach_monitor()
-    system.open_loop(RATE)
+    telemetry, sampler = live.attach_configured(system, monitor)
+    system.open_loop(RATE, sampler=sampler)
     deepest = system.vms[-1]
     system.sim.call_at(stall_at, deepest.freeze, STALL)
     system.sim.run(until=duration)
+    if telemetry is not None:
+        telemetry.finish()
     summary = system.log.summary(duration)
     return {
         "system": system,
@@ -60,18 +67,18 @@ def run(depth=5, sync=True, duration=30.0, stall_at=12.0, seed=42,
         "queue_max": {
             name: int(monitor.queues[name].max()) for name in system.names
         },
+        "telemetry": telemetry,
     }
 
 
-def run_depth_sweep(depths=(3, 4, 5), duration=30.0, seed=42,
-                    streaming=False):
-    """{depth: {"sync": result, "async": result}}."""
+def run(depths=DEPTHS, duration=30.0, seed=42, streaming=False):
+    """The depth sweep: {depth: {"sync": result, "async": result}}."""
     return {
         depth: {
-            "sync": run(depth, sync=True, duration=duration, seed=seed,
-                        streaming=streaming),
-            "async": run(depth, sync=False, duration=duration, seed=seed,
-                         streaming=streaming),
+            "sync": run_one(depth, sync=True, duration=duration, seed=seed,
+                            streaming=streaming),
+            "async": run_one(depth, sync=False, duration=duration,
+                             seed=seed, streaming=streaming),
         }
         for depth in depths
     }
@@ -79,12 +86,9 @@ def run_depth_sweep(depths=(3, 4, 5), duration=30.0, seed=42,
 
 def run_experiment(config):
     """Uniform registry entry point (see repro.experiments.runner)."""
-    depths = tuple(config.params.get("depths", (3, 4, 5)))
-    sweep = run_depth_sweep(depths=depths,
-                            duration=config.duration or 30.0,
-                            seed=config.seed,
-                            streaming=bool(
-                                config.params.get("streaming", False)))
+    sweep = run(depths=tuple(config.params.get("depths", DEPTHS)),
+                duration=config.duration or 30.0, seed=config.seed,
+                streaming=bool(config.params.get("streaming", False)))
     return {
         f"{depth}-{kind}": {
             "summary": result["summary"],
@@ -120,13 +124,3 @@ def report(sweep):
         "pool.\nThe asynchronous chains absorb the identical stall with "
         "zero loss."
     )
-
-
-def main():
-    sweep = run_depth_sweep()
-    print(report(sweep))
-    return sweep
-
-
-if __name__ == "__main__":
-    main()

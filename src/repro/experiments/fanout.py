@@ -50,12 +50,14 @@ from __future__ import annotations
 from ..core.evaluation import GraphRunResult
 from ..core.tail import percentiles
 from ..injectors.logflush import LogFlushInjector
+from ..metrics import live
 from ..servers.policies import TierPolicy
 from ..servers.replica import HedgingSpec
 from ..sim.kernel import Simulator
 from ..topology.graph import NodeSpec, build_graph, fan_out
 from ..units import ms
 from .report import format_table
+from .runner import variant_single_run
 
 __all__ = [
     "FANOUTS",
@@ -63,11 +65,12 @@ __all__ = [
     "build_fanout",
     "check_claims",
     "fanout_outcomes",
-    "main",
     "report",
     "run",
     "run_experiment",
     "run_one",
+    "runs",
+    "single_run",
 ]
 
 #: fan-out widths of the scaling sweep (the paper's WL axis becomes N)
@@ -85,6 +88,12 @@ VARIANTS = {
     "quorum": dict(sync_root=True, quorum=True, hedged=False),
     "hedged": dict(sync_root=True, quorum=False, hedged=True),
 }
+
+#: the cell ``repro diagnose`` and ``repro profile`` run by default
+CELL = "sync"
+#: every cell's workload and simulated seconds, unless overridden
+CLIENTS = 7000
+DURATION = 12.0
 
 #: collectl-style I/O freeze on the first leaf's VM: 0.4 s is long
 #: enough to overflow the root at WL 7000 (§III arithmetic) and short
@@ -163,7 +172,7 @@ def stalled_leaf(variant):
     return "leaf11" if VARIANTS[variant]["hedged"] else "leaf1"
 
 
-def run_one(variant, clients=7000, n=16, duration=12.0, warmup=2.0,
+def run_one(variant, clients=CLIENTS, n=16, duration=DURATION, warmup=2.0,
             seed=42, stall=True, bus=None, streaming=False):
     """Run one cell; returns a dict with the cell's observables."""
     if variant not in VARIANTS:
@@ -176,21 +185,26 @@ def run_one(variant, clients=7000, n=16, duration=12.0, warmup=2.0,
     if streaming and warmup:
         system.log.set_warmup(warmup)
     monitor = system.attach_monitor()
+    telemetry, sampler = live.attach_configured(system, monitor)
 
     # pooled per-leg latency samples: every leaf reply's tier sojourn
-    # (accept queueing and retransmissions included), post-warmup
+    # (accept queueing and retransmissions included), post-warmup; a
+    # server has one observer slot, so this one also feeds live
+    # telemetry's tier observer when that is attached
     leaf_samples = []
     for name, server in system.server_items():
         if name == "root":
             continue
 
-        def observe(sojourn, _sim=sim):
+        def observe(sojourn, _sim=sim, _tier=server.latency_observer):
+            if _tier is not None:
+                _tier(sojourn)
             if _sim.now >= warmup:
                 leaf_samples.append(sojourn)
 
         server.latency_observer = observe
 
-    system.open_loop(rate)
+    system.open_loop(rate, sampler=sampler)
     injectors = []
     if stall:
         victim = stalled_leaf(variant)
@@ -201,10 +215,12 @@ def run_one(variant, clients=7000, n=16, duration=12.0, warmup=2.0,
             ).start()
         )
     sim.run(until=duration)
+    if telemetry is not None:
+        telemetry.finish()
 
     log = system.log.after(warmup) if warmup else system.log
     result = GraphRunResult(system, log, monitor, duration, warmup,
-                            injectors=injectors)
+                            injectors=injectors, telemetry=telemetry)
     # the tail-at-scale comparison: parent p99 vs the pooled leaf
     # distribution at quantile 1 − 0.01/N (nearest rank: an actual
     # sample, never interpolation between modes)
@@ -239,8 +255,8 @@ def run_one(variant, clients=7000, n=16, duration=12.0, warmup=2.0,
     }
 
 
-def run(duration=12.0, warmup=2.0, seed=42, clients=7000, fanouts=FANOUTS,
-        variants=None, streaming=False):
+def run(duration=DURATION, warmup=2.0, seed=42, clients=CLIENTS,
+        fanouts=FANOUTS, variants=None, streaming=False):
     """The full experiment: a stall-free scaling sweep over ``fanouts``
     (sync all-of — the max-of-N geometry is variant-independent), then
     one stalled cell per requested variant at the widest fan-out.
@@ -269,6 +285,22 @@ def run(duration=12.0, warmup=2.0, seed=42, clients=7000, fanouts=FANOUTS,
         for name in names
     }
     return {"scaling": scaling, "stall": stall}
+
+
+def runs(cells):
+    """Each cell's RunResult: ``scaling_n<N>`` and ``stall_<variant>``."""
+    out = {f"scaling_n{n}": cell["result"]
+           for n, cell in cells["scaling"].items()}
+    out.update({f"stall_{name}": cell["result"]
+                for name, cell in cells["stall"].items()})
+    return out
+
+
+def single_run(variant=CELL, clients=CLIENTS, duration=DURATION):
+    """The cell ``repro diagnose`` and ``repro profile`` run:
+    ``(heading, simulate)`` (see :mod:`repro.experiments.runner`)."""
+    return variant_single_run(run_one, VARIANTS, variant, clients,
+                              duration)
 
 
 # ----------------------------------------------------------------------
@@ -411,9 +443,9 @@ def run_experiment(config):
     params = config.params
     fanouts = params.get("fanouts") or FANOUTS
     cells = run(
-        duration=config.duration or 12.0,
+        duration=config.duration or DURATION,
         seed=config.seed,
-        clients=int(params.get("clients", 7000)),
+        clients=int(params.get("clients", CLIENTS)),
         fanouts=[int(n) for n in fanouts],
         variants=params.get("variants"),
         streaming=bool(params.get("streaming", False)),
@@ -499,13 +531,3 @@ def check_claims(cells):
         for name, evidence in fanout_outcomes(cells).items()
         if evidence.get("holds") is False
     ]
-
-
-def main():
-    cells = run()
-    print(report(cells))
-    return cells
-
-
-if __name__ == "__main__":
-    main()

@@ -17,7 +17,8 @@ from ..core.evaluation import Scenario
 from ..topology.configs import SystemConfig
 from .report import format_table, histogram_rows
 
-__all__ = ["WORKLOADS", "run", "run_experiment", "run_one", "main"]
+__all__ = ["WORKLOADS", "report", "run", "run_experiment", "run_one",
+           "runs", "single_run"]
 
 #: the paper's three workload levels
 WORKLOADS = (4000, 7000, 8000)
@@ -25,8 +26,13 @@ WORKLOADS = (4000, 7000, 8000)
 #: bursts arrive roughly twice per 15 s, as in the §V-B scripted setup
 BURST_PERIOD = 7.0
 
+#: simulated seconds per workload level of ``repro run fig01``
+DURATION = 90.0
+#: ... and of the full-scale record (``repro run-all``, EXPERIMENTS.md)
+RECORD_DURATION = 120.0
 
-def run_one(clients, duration=120.0, warmup=10.0, seed=42, bus=None,
+
+def run_one(clients, duration=DURATION, warmup=10.0, seed=42, bus=None,
             streaming=False):
     """One workload level; returns a dict with the figure's content.
 
@@ -55,7 +61,7 @@ def run_one(clients, duration=120.0, warmup=10.0, seed=42, bus=None,
     }
 
 
-def run(duration=120.0, warmup=10.0, seed=42, workloads=WORKLOADS,
+def run(duration=DURATION, warmup=10.0, seed=42, workloads=WORKLOADS,
         streaming=False):
     """All three panels; returns ``{clients: panel_dict}``."""
     return {
@@ -68,7 +74,8 @@ def run(duration=120.0, warmup=10.0, seed=42, workloads=WORKLOADS,
 def run_experiment(config):
     """Uniform registry entry point (see repro.experiments.runner)."""
     workloads = tuple(config.params.get("workloads", WORKLOADS))
-    panels = run(duration=config.duration or 120.0, seed=config.seed,
+    panels = run(duration=config.duration or RECORD_DURATION,
+                 seed=config.seed,
                  workloads=workloads,
                  streaming=bool(config.params.get("streaming", False)))
     return {
@@ -116,11 +123,22 @@ def report(panels):
     return "\n".join(lines)
 
 
-def main():
-    panels = run()
-    print(report(panels))
-    return panels
+def runs(panels):
+    """Each panel's RunResult, labelled by its workload level."""
+    return {f"wl{clients}": panel["result"]
+            for clients, panel in panels.items()}
 
 
-if __name__ == "__main__":
-    main()
+def single_run(variant=None, clients=7000, duration=45.0):
+    """The run ``repro diagnose`` and ``repro profile`` take:
+    ``(heading, simulate)`` (see :mod:`repro.experiments.runner`).  The
+    panels differ only in workload, so there is no variant to pick."""
+    if variant is not None:
+        raise ValueError(f"no variant {variant!r}: the panels differ only "
+                         "in workload (--workload)")
+
+    def simulate(bus=None):
+        return run_one(clients, duration=duration, warmup=5.0,
+                       bus=bus)["result"]
+
+    return f" @ WL {clients}, {duration:.0f}s", simulate

@@ -12,20 +12,23 @@ ordinary systems, with no scripted millibottlenecks at all.
 
 from __future__ import annotations
 
+from ..metrics import live
+from ..topology.configs import SystemConfig
 from ..topology.consolidation import build_consolidated_pair
 from .report import ascii_timeline, format_table
 
-__all__ = ["run", "run_experiment", "main"]
+__all__ = ["report", "run", "run_experiment"]
 
 
 def run(duration=60.0, warmup=5.0, seed=42):
     """Run the consolidated pair; returns a result dict."""
-    from ..topology.configs import SystemConfig
-
     pair = build_consolidated_pair(SystemConfig(nx=0, seed=seed))
     monitor = pair.attach_monitor()
-    pair.start_workloads()
+    telemetry, sampler = live.attach_configured(pair.steady, monitor)
+    pair.start_workloads(sampler=sampler)
     pair.sim.run(until=duration)
+    if telemetry is not None:
+        telemetry.finish()
     log = pair.steady.log.after(warmup)
     summary = log.summary(duration - warmup)
     summary["drops_by_server"] = pair.steady.drop_counts()
@@ -39,6 +42,7 @@ def run(duration=60.0, warmup=5.0, seed=42):
         "summary": summary,
         "burst_times": burst_times,
         "duration": duration,
+        "telemetry": telemetry,
     }
 
 
@@ -94,13 +98,3 @@ def report(result):
         "in this experiment is scripted.",
     ]
     return "\n".join(lines)
-
-
-def main():
-    result = run()
-    print(report(result))
-    return result
-
-
-if __name__ == "__main__":
-    main()

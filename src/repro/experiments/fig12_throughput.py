@@ -21,8 +21,8 @@ from ..core.evaluation import Scenario
 from ..topology.configs import SystemConfig
 from .report import format_table
 
-__all__ = ["CONCURRENCY_LEVELS", "run", "run_experiment", "run_point",
-           "main"]
+__all__ = ["CONCURRENCY_LEVELS", "report", "run", "run_experiment",
+           "run_point"]
 
 #: the paper's x-axis
 CONCURRENCY_LEVELS = (100, 200, 400, 800, 1600)
@@ -105,13 +105,3 @@ def report(sweep):
         + f"\n\nsync degradation {sync_first:.0f} -> {sync_last:.0f} req/s "
         f"({sync_last / sync_first * 100:.0f}% retained; paper: 1159 -> 374)"
     )
-
-
-def main():
-    sweep = run()
-    print(report(sweep))
-    return sweep
-
-
-if __name__ == "__main__":
-    main()

@@ -17,7 +17,7 @@ from ..core.evaluation import Scenario
 from ..topology.configs import SystemConfig
 from .report import format_table
 
-__all__ = ["WORKLOADS", "run", "run_experiment", "main"]
+__all__ = ["WORKLOADS", "report", "run", "run_experiment"]
 
 WORKLOADS = (4000, 5500, 7000, 8000)
 BURST_PERIOD = 7.0
@@ -107,13 +107,3 @@ def report(points):
             f"{highest_async * 100:.0f}% (paper: 83%)"
         )
     return "\n".join(lines)
-
-
-def main():
-    points = run()
-    print(report(points))
-    return points
-
-
-if __name__ == "__main__":
-    main()

@@ -40,15 +40,19 @@ from ..core.evaluation import Scenario
 from ..servers.policies import RemediationSpec, TierPolicy
 from ..topology.configs import SystemConfig
 from .report import format_table
+from .runner import variant_single_run
 
 __all__ = [
     "VARIANTS",
     "build_scenario",
+    "single_run",
+    "check_claims",
     "hybrid_outcomes",
-    "main",
+    "report",
     "run",
     "run_experiment",
     "run_one",
+    "runs",
 ]
 
 #: bursts arrive roughly twice per 15 s, as in the fig01 setup
@@ -94,8 +98,14 @@ VARIANTS = {
 #: attribution-coverage acceptance bar applies to these
 ATTRIBUTED_VARIANTS = ("rpc_baseline", "shed_web", "db_stall")
 
+#: the cell ``repro diagnose`` and ``repro profile`` run by default
+CELL = "shed_web"
+#: every cell's workload and simulated seconds, unless overridden
+CLIENTS = 7000
+DURATION = 40.0
 
-def build_scenario(variant, clients=7000, duration=40.0, warmup=5.0,
+
+def build_scenario(variant, clients=CLIENTS, duration=DURATION, warmup=5.0,
                    seed=42, bus=None, streaming=False):
     """The Scenario for one grid cell (same workload, same schedule)."""
     spec = VARIANTS[variant]
@@ -106,8 +116,8 @@ def build_scenario(variant, clients=7000, duration=40.0, warmup=5.0,
     ).with_consolidation(spec["stall"], period=BURST_PERIOD)
 
 
-def run_one(variant, clients=7000, duration=40.0, warmup=5.0, seed=42,
-            bus=None, streaming=False):
+def run_one(variant, clients=CLIENTS, duration=DURATION, warmup=5.0,
+            seed=42, bus=None, streaming=False):
     """Run one cell; returns a dict with the cell's observables."""
     result = build_scenario(
         variant, clients=clients, duration=duration, warmup=warmup,
@@ -136,8 +146,8 @@ def run_one(variant, clients=7000, duration=40.0, warmup=5.0, seed=42,
     }
 
 
-def run(duration=40.0, warmup=5.0, seed=42, clients=7000, variants=None,
-        streaming=False):
+def run(duration=DURATION, warmup=5.0, seed=42, clients=CLIENTS,
+        variants=None, streaming=False):
     """All requested cells; returns ``{variant: cell_dict}``."""
     names = tuple(variants) if variants is not None else tuple(VARIANTS)
     for name in names:
@@ -149,6 +159,18 @@ def run(duration=40.0, warmup=5.0, seed=42, clients=7000, variants=None,
                       warmup=warmup, seed=seed, streaming=streaming)
         for name in names
     }
+
+
+def runs(cells):
+    """Each cell's RunResult, labelled by its variant."""
+    return {name: cell["result"] for name, cell in cells.items()}
+
+
+def single_run(variant=CELL, clients=CLIENTS, duration=DURATION):
+    """The cell ``repro diagnose`` and ``repro profile`` run:
+    ``(heading, simulate)`` (see :mod:`repro.experiments.runner`)."""
+    return variant_single_run(run_one, VARIANTS, variant, clients,
+                              duration)
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +272,9 @@ def run_experiment(config):
     """Uniform registry entry point (see repro.experiments.runner)."""
     variants = config.params.get("variants")
     cells = run(
-        duration=config.duration or 40.0,
+        duration=config.duration or DURATION,
         seed=config.seed,
-        clients=int(config.params.get("clients", 7000)),
+        clients=int(config.params.get("clients", CLIENTS)),
         variants=variants,
         streaming=bool(config.params.get("streaming", False)),
     )
@@ -321,13 +343,3 @@ def check_claims(cells):
         problems.append("attribution coverage below 90 % on the "
                         "drop/shed variants")
     return problems
-
-
-def main():
-    cells = run()
-    print(report(cells))
-    return cells
-
-
-if __name__ == "__main__":
-    main()

@@ -16,19 +16,8 @@ import os
 import sys
 import time
 
-from . import (
-    fig01_histograms,
-    fig03_vm_consolidation,
-    fig05_log_flush,
-    fig07_nx1,
-    fig08_nx2_mysql,
-    fig09_nx2_xtomcat,
-    fig10_nx3_xtomcat,
-    fig11_nx3_xmysql,
-    fig12_throughput,
-    headline_utilization,
-    run_timeline,
-)
+from . import fig01_histograms, fig12_throughput, headline_utilization
+from .timeline import TIMELINES
 
 __all__ = [
     "export_traces",
@@ -111,29 +100,16 @@ def render_records(records):
         lines.append("")
     return "\n".join(lines)
 
-#: (figure id, paper claim, paper numbers) for the timeline experiments
-_TIMELINE_ROWS = [
-    (fig03_vm_consolidation.SPEC, "drops at Apache; Tomcat queue caps at "
-     "293; Apache plateau 278 then 428 via second process"),
-    (fig05_log_flush.SPEC, "I/O freeze in MySQL cascades to Apache drops"),
-    (fig07_nx1.SPEC, "no drops at Nginx; Tomcat drops at 293"),
-    (fig07_nx1.SPEC_MYSQL, "MySQL millibottleneck still drops at Tomcat "
-     "(upstream CTQO through the JDBC pool)"),
-    (fig08_nx2_mysql.SPEC, "MySQL drops; queue caps at 228 = 100+128"),
-    (fig09_nx2_xtomcat.SPEC, "XTomcat's post-stall batch floods MySQL"),
-    (fig10_nx3_xtomcat.SPEC, "no drops, no VLRT despite the same "
-     "millibottlenecks"),
-    (fig11_nx3_xmysql.SPEC, "no drops, no VLRT despite the I/O freezes"),
-]
-
 
 def _timeline_section(lines):
     lines.append("## Timeline figures (3, 5, 7, 8, 9, 10, 11)\n")
     lines.append("| Figure | Paper claim | Measured | Status |")
     lines.append("|---|---|---|---|")
     ok = True
-    for spec, claim in _TIMELINE_ROWS:
-        result = run_timeline(spec)
+    specs = [spec for row in TIMELINES.values()
+             for spec in (row, *row.variants.values())]
+    for spec in specs:
+        result = spec.run()
         summary = result.summary()
         drops = ", ".join(
             f"{name}:{count}"
@@ -148,14 +124,17 @@ def _timeline_section(lines):
             f"{summary['throughput_rps']:.0f} req/s"
         )
         status = "reproduced" if not failures else f"MISMATCH: {failures}"
-        lines.append(f"| {spec.figure} | {claim} | {measured} | {status} |")
+        lines.append(f"| {spec.figure} | {spec.claim} | {measured} | "
+                     f"{status} |")
     lines.append("")
     return ok
 
 
 def _fig01_section(lines):
     lines.append("## Fig 1 — multi-modal response-time histograms\n")
-    panels = fig01_histograms.run(duration=120.0)
+    panels = fig01_histograms.run(
+        duration=fig01_histograms.RECORD_DURATION
+    )
     lines.append("| Workload | Paper | Measured | Mode clusters |")
     lines.append("|---|---|---|---|")
     paper = {4000: "572 req/s @ 43 %", 7000: "990 req/s @ 75 %",
@@ -306,8 +285,7 @@ def export_traces(out_dir, duration=None):
 
     bus = EventBus()
     recorder = EventRecorder(bus)
-    result = run_timeline(fig03_vm_consolidation.SPEC, duration=duration,
-                          bus=bus)
+    result = TIMELINES["fig03"].run(duration=duration, bus=bus)
     run = result.run
     os.makedirs(out_dir, exist_ok=True)
     chrome_trace_to_json(os.path.join(out_dir, "fig03_trace.json"),
@@ -353,7 +331,7 @@ def record_all(path="EXPERIMENTS.md"):
     lines.append("With no millibottleneck source, the simulator matches "
                  "the analytic closed-network model within ~2 % on "
                  "throughput and ~1 pp on utilization "
-                 "(`python -m repro.experiments.validation`).  Results "
+                 "(`python -m repro run validation`).  Results "
                  "beyond the paper — the emergent two-system Fig 2 "
                  "(`fig02_full_sysbursty`), deep chains (`deep_chain`), "
                  "replication (`replication`), downstream pacing and the "

@@ -18,17 +18,21 @@ needs no replicas at all.
 from __future__ import annotations
 
 from ..injectors.colocation import ColocationInjector
+from ..metrics import live
 from ..metrics.monitor import SystemMonitor
 from ..topology.builder import build_system
 from ..topology.configs import SystemConfig
 from ..workload.generators import ClosedLoopPopulation
 from .report import format_table
 
-__all__ = ["run", "run_experiment", "main"]
+__all__ = ["REPLICAS", "report", "run", "run_experiment", "run_one"]
+
+#: app-tier replica counts of the sweep (1 = the unreplicated stack)
+REPLICAS = (1, 2, 3)
 
 
-def run(replicas=2, clients=7000, duration=40.0, warmup=5.0,
-        burst_times=(15.0, 25.0), seed=42, streaming=False):
+def run_one(replicas=2, clients=7000, duration=40.0, warmup=5.0,
+            burst_times=(15.0, 25.0), seed=42, streaming=False):
     """A millibottleneck on replica 1's host; measure where drops land.
 
     The system is the all-synchronous 3-tier preset with ``replicas``
@@ -53,10 +57,11 @@ def run(replicas=2, clients=7000, duration=40.0, warmup=5.0,
             monitor.watch_vm(name, vms[name])
     monitor.watch_log("clients", system.log)
     monitor.start()
+    telemetry, sampler = live.attach_configured(system, monitor)
 
     ClosedLoopPopulation(
         sim, system.fabric, system.entry, system.app, system.log,
-        clients=clients, think_mean=7.0,
+        clients=clients, think_mean=7.0, sampler=sampler,
     ).start()
     injector = ColocationInjector(
         sim, vms[app_names[0]].host, shares=30.0,
@@ -64,6 +69,8 @@ def run(replicas=2, clients=7000, duration=40.0, warmup=5.0,
     )
     injector.scripted(list(burst_times))
     sim.run(until=duration)
+    if telemetry is not None:
+        telemetry.finish()
 
     log = system.log.after(warmup)
     return {
@@ -75,23 +82,30 @@ def run(replicas=2, clients=7000, duration=40.0, warmup=5.0,
             for name, series in monitor.queues.items()
         },
         "monitor": monitor,
+        "telemetry": telemetry,
     }
+
+
+def run(replicas=REPLICAS, duration=40.0, seed=42, streaming=False):
+    """The sweep: one :func:`run_one` result per replica count."""
+    return [run_one(replicas=count, duration=duration, seed=seed,
+                    streaming=streaming)
+            for count in replicas]
 
 
 def run_experiment(config):
     """Uniform registry entry point (see repro.experiments.runner)."""
-    replicas_list = tuple(config.params.get("replicas", (1, 2, 3)))
-    record = {}
-    for replicas in replicas_list:
-        result = run(replicas=replicas, duration=config.duration or 40.0,
-                     seed=config.seed,
-                     streaming=bool(config.params.get("streaming", False)))
-        record[str(replicas)] = {
+    results = run(replicas=tuple(config.params.get("replicas", REPLICAS)),
+                  duration=config.duration or 40.0, seed=config.seed,
+                  streaming=bool(config.params.get("streaming", False)))
+    return {
+        str(result["replicas"]): {
             "summary": result["summary"],
             "drops": result["drops"],
             "queue_max": result["queue_max"],
         }
-    return record
+        for result in results
+    }
 
 
 def report(results):
@@ -115,13 +129,3 @@ def report(results):
         "RPCs still pin the front tier's\nthreads (head-of-line blocking "
         "through the replica group)."
     )
-
-
-def main():
-    results = [run(replicas=n) for n in (1, 2, 3)]
-    print(report(results))
-    return results
-
-
-if __name__ == "__main__":
-    main()

@@ -1,12 +1,35 @@
 """Parallel experiment-execution engine and the canonical job registry.
 
-Every experiment module exposes a uniform ``run_experiment(config)``
-entry point returning a plain-data *record* (nested dicts / lists /
-scalars — nothing simulation-bound).  :data:`REGISTRY` enumerates them
-all; :func:`expand_jobs` turns registry names into concrete
-:class:`JobConfig` jobs (variants × seeds); :func:`run_jobs` executes a
-job list either serially in-process or fanned across a pool of worker
-processes with per-job timeout and crash retry.
+:data:`REGISTRY` is the one declaration of every experiment: a new
+experiment is its module plus one entry here, and a new timeline figure
+is one row of :data:`~repro.experiments.timeline.TIMELINES`.  Every
+experiment exposes a uniform ``run_experiment(config)`` entry point
+returning a plain-data *record* (nested dicts / lists / scalars —
+nothing simulation-bound); :func:`expand_jobs` turns registry names
+into concrete :class:`JobConfig` jobs (variants × seeds); :func:`run_jobs`
+executes a job list either serially in-process or fanned across a pool
+of worker processes with per-job timeout and crash retry.
+
+Experiment interface
+--------------------
+``repro run``, ``repro diagnose`` and ``repro profile`` drive the object
+:func:`experiment` returns for a registry name — the experiment's
+module, or a timeline figure's table row — through:
+
+``run(duration=..., streaming=..., **quick)``
+    the whole experiment at its own scale; the registry's ``quick``
+    params are keywords of it.  An entry without ``run`` (``nx_sweep``)
+    runs only under ``repro run-all``.
+``report(result)``, ``check_claims(result)`` (optional)
+    the printed figure and its failed claims (non-empty: exit 1).
+``runs(result)``, ``single_run(variant=..., clients=..., duration=...)``
+    only an experiment whose cells keep a
+    :class:`~repro.core.evaluation.RunResult` (its *single runs*) has
+    these: ``runs`` maps each cell label to its RunResult (``--out``,
+    ``--diagnose``); ``single_run`` returns ``(heading, simulate)`` for
+    the one representative cell, where ``simulate(bus=None)`` runs it
+    and returns its RunResult (``repro diagnose``, ``repro profile``).
+    An unknown variant raises ``ValueError`` before anything runs.
 
 Determinism contract
 --------------------
@@ -35,6 +58,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection, get_context
 
+from .timeline import TIMELINES
+
 __all__ = [
     "DEFAULT_SEED",
     "ExperimentSpec",
@@ -46,8 +71,11 @@ __all__ = [
     "derive_seed",
     "execute_job",
     "expand_jobs",
+    "experiment",
     "job_id",
+    "names_with",
     "run_jobs",
+    "variant_single_run",
 ]
 
 DEFAULT_SEED = 42
@@ -74,6 +102,7 @@ class ExperimentSpec:
     becomes :attr:`JobConfig.duration`, the rest merge into
     :attr:`JobConfig.params`.  ``variants`` expands one registry name
     into several jobs (e.g. fig07's MySQL variant, the NX sweep).
+    ``description`` is the one line ``repro list`` prints.
     """
 
     name: str
@@ -172,28 +201,12 @@ REGISTRY = {
         _spec("fig02", "fig02_full_sysbursty",
               "emergent two-system consolidation (full fidelity)",
               quick={"duration": 16.0}),
-        _spec("fig03", "fig03_vm_consolidation",
-              "upstream CTQO from VM consolidation",
-              quick={"duration": 18.0}),
-        _spec("fig05", "fig05_log_flush",
-              "upstream CTQO from log flushing",
-              quick={"duration": 18.0}),
-        _spec("fig07", "fig07_nx1",
-              "NX=1 yes-and-no (plus the MySQL variant)",
-              quick={"duration": 18.0},
-              variants=({}, {"variant": "mysql"})),
-        _spec("fig08", "fig08_nx2_mysql",
-              "NX=2, downstream CTQO at MySQL",
-              quick={"duration": 18.0}),
-        _spec("fig09", "fig09_nx2_xtomcat",
-              "NX=2, XTomcat's batch floods MySQL",
-              quick={"duration": 18.0}),
-        _spec("fig10", "fig10_nx3_xtomcat",
-              "NX=3, CPU millibottleneck, no CTQO",
-              quick={"duration": 18.0}),
-        _spec("fig11", "fig11_nx3_xmysql",
-              "NX=3, I/O millibottleneck, no CTQO",
-              quick={"duration": 18.0}),
+        *(
+            _spec(name, "timeline", row.title, quick={"duration": 18.0},
+                  variants=({},) + tuple({"variant": variant}
+                                         for variant in row.variants))
+            for name, row in TIMELINES.items()
+        ),
         _spec("fig12", "fig12_throughput",
               "2000-thread sync vs async throughput",
               quick={"duration": 9.0, "levels": [100, 1600]}),
@@ -260,6 +273,49 @@ def run_nx_point(config):
     }
 
 
+def _lookup(name):
+    spec = REGISTRY.get(name)
+    if spec is None:
+        known = ", ".join(sorted(REGISTRY))
+        raise ValueError(f"unknown experiment {name!r}; known: {known}")
+    return spec
+
+
+def experiment(name):
+    """The object behind registry entry ``name`` (see *Experiment
+    interface* above): a timeline figure's row of
+    :data:`~repro.experiments.timeline.TIMELINES`, else the module of
+    the entry point."""
+    spec = _lookup(name)
+    if name in TIMELINES:
+        return TIMELINES[name]
+    return importlib.import_module(spec.entry.partition(":")[0])
+
+
+def names_with(attribute):
+    """Registry names, in order, whose experiment has ``attribute``:
+    ``"run"`` for ``repro run``/``repro profile``, ``"single_run"`` for
+    the experiments with single runs (``--out``, ``--diagnose``,
+    ``repro diagnose``)."""
+    return [name for name in REGISTRY
+            if hasattr(experiment(name), attribute)]
+
+
+def variant_single_run(run_one, variants, variant, clients, duration):
+    """``single_run()`` of an experiment with named ``variants`` whose
+    ``run_one(variant, clients=, duration=, bus=)`` returns a dict cell
+    keeping its RunResult under ``"result"``."""
+    if variant not in variants:
+        raise ValueError(f"unknown variant {variant!r}; valid variants: "
+                         + ", ".join(sorted(variants)))
+
+    def simulate(bus=None):
+        return run_one(variant, clients=clients, duration=duration,
+                       bus=bus)["result"]
+
+    return f"/{variant} @ WL {clients}, {duration:.0f}s", simulate
+
+
 def expand_jobs(names=None, seeds=1, base_seed=DEFAULT_SEED, quick=False):
     """Registry names -> concrete jobs (variants × ``seeds`` seed indices).
 
@@ -269,10 +325,7 @@ def expand_jobs(names=None, seeds=1, base_seed=DEFAULT_SEED, quick=False):
     names = list(REGISTRY) if names is None else list(names)
     jobs = []
     for name in names:
-        spec = REGISTRY.get(name)
-        if spec is None:
-            known = ", ".join(sorted(REGISTRY))
-            raise ValueError(f"unknown experiment {name!r}; known: {known}")
+        spec = _lookup(name)
         for variant in spec.variants or ({},):
             params = dict(spec.quick) if quick else {}
             duration = params.pop("duration", None)
@@ -311,13 +364,7 @@ def execute_job(config):
         config = replace(config, params=params)
     entry = config.entry
     if entry is None:
-        spec = REGISTRY.get(config.name)
-        if spec is None:
-            known = ", ".join(sorted(REGISTRY))
-            raise ValueError(
-                f"unknown experiment {config.name!r}; known: {known}"
-            )
-        entry = spec.entry
+        entry = _lookup(config.name).entry
     owned_sink = None
     if live_spec is not None:
         from ..metrics import live as live_mode

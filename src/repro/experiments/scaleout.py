@@ -49,16 +49,19 @@ from ..core.evaluation import Scenario
 from ..servers.replica import HedgingSpec
 from ..topology.configs import SystemConfig
 from .report import format_table
+from .runner import variant_single_run
 
 __all__ = [
     "VARIANTS",
     "attribution_coverage",
     "build_scenario",
+    "single_run",
     "check_claims",
-    "main",
+    "report",
     "run",
     "run_experiment",
     "run_one",
+    "runs",
     "scaleout_outcomes",
 ]
 
@@ -98,6 +101,12 @@ VARIANTS = {
 #: attribution-coverage acceptance bar (>= 90 %) applies to these
 ATTRIBUTED_VARIANTS = ("rpc_round_robin", "rpc_power_of_two", "rpc_hedged")
 
+#: the cell ``repro diagnose`` and ``repro profile`` run by default
+CELL = "rpc_round_robin"
+#: every cell's workload and simulated seconds, unless overridden
+CLIENTS = 7000
+DURATION = 40.0
+
 
 def stall_times(duration, warmup):
     """The burst schedule: RTO-spaced triples, repeated until the end.
@@ -114,7 +123,7 @@ def stall_times(duration, warmup):
     return times
 
 
-def build_scenario(variant, clients=7000, duration=40.0, warmup=5.0,
+def build_scenario(variant, clients=CLIENTS, duration=DURATION, warmup=5.0,
                    seed=42, bus=None, streaming=False):
     """The Scenario for one routing regime (same stall schedule)."""
     spec = VARIANTS[variant]
@@ -133,8 +142,8 @@ def build_scenario(variant, clients=7000, duration=40.0, warmup=5.0,
     )
 
 
-def run_one(variant, clients=7000, duration=40.0, warmup=5.0, seed=42,
-            bus=None, streaming=False):
+def run_one(variant, clients=CLIENTS, duration=DURATION, warmup=5.0,
+            seed=42, bus=None, streaming=False):
     """Run one regime; returns a dict with the cell's observables."""
     result = build_scenario(
         variant, clients=clients, duration=duration, warmup=warmup,
@@ -162,8 +171,8 @@ def run_one(variant, clients=7000, duration=40.0, warmup=5.0, seed=42,
     }
 
 
-def run(duration=40.0, warmup=5.0, seed=42, clients=7000, variants=None,
-        streaming=False):
+def run(duration=DURATION, warmup=5.0, seed=42, clients=CLIENTS,
+        variants=None, streaming=False):
     """All requested regimes; returns ``{variant: cell_dict}``."""
     names = tuple(variants) if variants is not None else tuple(VARIANTS)
     for name in names:
@@ -175,6 +184,18 @@ def run(duration=40.0, warmup=5.0, seed=42, clients=7000, variants=None,
                       warmup=warmup, seed=seed, streaming=streaming)
         for name in names
     }
+
+
+def runs(cells):
+    """Each cell's RunResult, labelled by its variant."""
+    return {name: cell["result"] for name, cell in cells.items()}
+
+
+def single_run(variant=CELL, clients=CLIENTS, duration=DURATION):
+    """The cell ``repro diagnose`` and ``repro profile`` run:
+    ``(heading, simulate)`` (see :mod:`repro.experiments.runner`)."""
+    return variant_single_run(run_one, VARIANTS, variant, clients,
+                              duration)
 
 
 # ----------------------------------------------------------------------
@@ -307,9 +328,9 @@ def run_experiment(config):
     """Uniform registry entry point (see repro.experiments.runner)."""
     variants = config.params.get("variants")
     cells = run(
-        duration=config.duration or 40.0,
+        duration=config.duration or DURATION,
         seed=config.seed,
-        clients=int(config.params.get("clients", 7000)),
+        clients=int(config.params.get("clients", CLIENTS)),
         variants=variants,
         streaming=bool(config.params.get("streaming", False)),
     )
@@ -377,13 +398,3 @@ def check_claims(cells):
         problems.append("per-replica attribution coverage below 90 % on "
                         "the drop variants")
     return problems
-
-
-def main():
-    cells = run()
-    print(report(cells))
-    return cells
-
-
-if __name__ == "__main__":
-    main()

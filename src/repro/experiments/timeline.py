@@ -1,4 +1,4 @@
-"""Shared machinery for the timeline figures (Fig 3, 5, 7, 8, 9, 10, 11).
+"""The timeline figures (Fig 3, 5, 7, 8, 9, 10, 11): one table, one runner.
 
 Each of those figures is the same three-panel story told under a
 different configuration:
@@ -7,10 +7,12 @@ different configuration:
   (b) per-server queue depths showing where MaxSysQDepth is reached,
   (c) VLRT requests per 50 ms window showing the dropped packets.
 
-:class:`TimelineSpec` captures a figure's parameters;
-:func:`run_timeline` executes it and returns a :class:`TimelineResult`
-that knows how to check the figure's headline claims and render the
-three panels as text.
+:data:`TIMELINES` holds each figure's :class:`TimelineSpec`, keyed by
+its registry name, so a new timeline figure is one more row.
+:meth:`TimelineSpec.run` executes a spec and returns a
+:class:`TimelineResult` that knows how to check the figure's headline
+claims and render the three panels as text; :func:`run_experiment` is
+the registry entry point of every row.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from ..core.evaluation import Scenario
 from ..topology.configs import SystemConfig
 from .report import ascii_timeline, format_table
 
-__all__ = ["TimelineSpec", "TimelineResult", "run_timeline",
-           "timeline_record"]
+__all__ = ["TIMELINES", "TimelineResult", "TimelineSpec", "run_experiment"]
 
 #: burst instants used by the consolidation timelines (a 45 s run),
 #: mirroring the paper's irregular marks (e.g. 2/5/9/15 s in Fig 3).
@@ -31,7 +32,12 @@ DEFAULT_BURST_TIMES = (15.0, 22.0, 29.0, 36.0)
 
 @dataclass
 class TimelineSpec:
-    """One timeline experiment's parameters."""
+    """One timeline experiment's parameters.
+
+    A row of :data:`TIMELINES` is also the experiment ``repro run``,
+    ``repro diagnose`` and ``repro profile`` drive for its registry
+    name (see :func:`repro.experiments.runner.experiment`).
+    """
 
     figure: str
     title: str
@@ -50,6 +56,11 @@ class TimelineSpec:
     expect_drops_at: tuple = ()   # server display names
     expect_no_drops: bool = False
     config_overrides: dict = field(default_factory=dict)
+    #: the paper's claim, as EXPERIMENTS.md quotes it
+    claim: str = ""
+    #: named variants, each run as one more registry job of this row
+    #: (``params["variant"]``)
+    variants: dict = field(default_factory=dict)
 
     def build_config(self):
         return SystemConfig(
@@ -70,6 +81,76 @@ class TimelineSpec:
         if seed is not None:
             out.seed = seed
         return out
+
+    def variant(self, name=None):
+        """The named variant of this row (``None``: the row itself)."""
+        if name is None:
+            return self
+        if name not in self.variants:
+            valid = ", ".join(sorted(self.variants)) or "none"
+            raise ValueError(f"unknown {self.figure} variant {name!r}; "
+                             f"valid variants: {valid}")
+        return self.variants[name]
+
+    def run(self, duration=None, clients=None, seed=None, bus=None,
+            streaming=False):
+        """Execute the spec (optionally rescaled) and wrap the result.
+
+        ``bus`` (an :class:`~repro.sim.instrument.EventBus`) switches the
+        instrumentation hooks on for this run; ``None`` (the default)
+        keeps them on the zero-cost disabled branch.  ``streaming=True``
+        runs the figure with the O(1)-memory request log
+        (docs/SCALE.md); the three panels and claim checks are
+        unchanged — they only need counters, monitors, and the
+        exactly-retained VLRT records.
+        """
+        spec = self.scaled(duration=duration, clients=clients, seed=seed)
+        config = spec.build_config()
+        if streaming:
+            config = replace(config, streaming=True)
+        scenario = Scenario(
+            config, clients=spec.clients,
+            duration=spec.duration, warmup=spec.warmup, bus=bus,
+        )
+        if spec.bottleneck_kind == "consolidation":
+            scenario.with_consolidation(spec.bottleneck_tier,
+                                        times=list(spec.burst_times))
+        elif spec.bottleneck_kind == "logflush":
+            scenario.with_log_flush(
+                spec.bottleneck_tier, period=spec.flush_period,
+                duration=spec.flush_duration, offset=spec.flush_offset,
+            )
+        else:
+            raise ValueError(
+                f"unknown bottleneck kind {spec.bottleneck_kind!r}"
+            )
+        return TimelineResult(spec, scenario.run())
+
+    # the experiment interface of a row ----------------------------------
+    @staticmethod
+    def report(result):
+        return result.report()
+
+    @staticmethod
+    def check_claims(result):
+        return result.check_claims()
+
+    @staticmethod
+    def runs(result):
+        """The figure's one single run; its files carry the bare
+        registry name."""
+        return {"": result.run}
+
+    def single_run(self, variant=None, clients=None, duration=None):
+        """The run ``repro diagnose`` and ``repro profile`` take:
+        ``(heading, simulate)`` (see :mod:`repro.experiments.runner`)."""
+        spec = self.variant(variant)
+        length = spec.duration if duration is None else duration
+
+        def simulate(bus=None):
+            return spec.run(duration=duration, clients=clients, bus=bus).run
+
+        return f": {spec.title} ({length:.0f}s)", simulate
 
 
 class TimelineResult:
@@ -167,7 +248,8 @@ class TimelineResult:
             lines.append(ascii_timeline(series, label=label, vmax=1.0))
         lines.append("")
         lines.append("(b) queued requests (threshold = MaxSysQDepth)")
-        for label, series, threshold in self.panel_b():
+        queues = self.panel_b()
+        for label, series, threshold in queues:
             lines.append(
                 ascii_timeline(series, label=f"{label}({threshold})")
             )
@@ -191,6 +273,11 @@ class TimelineResult:
                 ]],
             )
         )
+        # end-of-run values: Apache's grows when it spawns its second
+        # process
+        lines.append("")
+        lines.extend(f"MaxSysQDepth({label}) = {threshold}"
+                     for label, _series, threshold in queues)
         failures = self.check_claims()
         lines.append("")
         if failures:
@@ -201,16 +288,14 @@ class TimelineResult:
         return "\n".join(lines)
 
 
-def timeline_record(spec, config):
-    """Uniform plain-data record for one timeline figure.
-
-    Shared implementation behind the ``run_experiment(config)`` registry
-    entry points of the timeline modules (see
-    :mod:`repro.experiments.runner` for the record contract).
-    """
-    result = run_timeline(
-        spec, duration=config.duration,
-        clients=config.params.get("clients"), seed=config.seed,
+def run_experiment(config):
+    """Uniform registry entry point of every row (see
+    :mod:`repro.experiments.runner`): ``config.name`` picks the row,
+    ``params["variant"]`` one of its :attr:`TimelineSpec.variants`."""
+    spec = TIMELINES[config.name].variant(config.params.get("variant"))
+    result = spec.run(
+        duration=config.duration, clients=config.params.get("clients"),
+        seed=config.seed,
         streaming=bool(config.params.get("streaming", False)),
     )
     return {
@@ -221,33 +306,121 @@ def timeline_record(spec, config):
     }
 
 
-def run_timeline(spec, duration=None, clients=None, seed=None, bus=None,
-                 streaming=False):
-    """Execute a timeline spec (optionally rescaled) and wrap the result.
-
-    ``bus`` (an :class:`~repro.sim.instrument.EventBus`) switches the
-    instrumentation hooks on for this run; ``None`` (the default) keeps
-    them on the zero-cost disabled branch.  ``streaming=True`` runs the
-    figure with the O(1)-memory request log (docs/SCALE.md); the three
-    panels and claim checks are unchanged — they only need counters,
-    monitors, and the exactly-retained VLRT records.
-    """
-    spec = spec.scaled(duration=duration, clients=clients, seed=seed)
-    config = spec.build_config()
-    if streaming:
-        config = replace(config, streaming=True)
-    scenario = Scenario(
-        config, clients=spec.clients,
-        duration=spec.duration, warmup=spec.warmup, bus=bus,
-    )
-    if spec.bottleneck_kind == "consolidation":
-        scenario.with_consolidation(spec.bottleneck_tier,
-                                    times=list(spec.burst_times))
-    elif spec.bottleneck_kind == "logflush":
-        scenario.with_log_flush(
-            spec.bottleneck_tier, period=spec.flush_period,
-            duration=spec.flush_duration, offset=spec.flush_offset,
-        )
-    else:
-        raise ValueError(f"unknown bottleneck kind {spec.bottleneck_kind!r}")
-    return TimelineResult(spec, scenario.run())
+#: every timeline figure, keyed by its registry name, in the paper's
+#: order
+TIMELINES = {
+    # The fully synchronous stack (Apache-Tomcat-MySQL) at WL 7000 with
+    # SysBursty-MySQL consolidated onto the Tomcat host.  Each burst
+    # starves Tomcat; its queues fill to MaxSysQDepth(Tomcat), push-back
+    # fills Apache to MaxSysQDepth(Apache)=278 (428 once a second Apache
+    # process spawns), and packets drop *at Apache*: panel (c)'s spikes.
+    "fig03": TimelineSpec(
+        figure="Fig 3",
+        title="upstream CTQO, CPU millibottleneck in Tomcat "
+              "(VM consolidation)",
+        claim="drops at Apache; Tomcat queue caps at 293; Apache plateau "
+              "278 then 428 via second process",
+        nx=0,
+        bottleneck_kind="consolidation",
+        bottleneck_tier="app",
+        expect_drops_at=("apache",),
+    ),
+    # The synchronous stack, Tomcat scaled to four cores, and collectl
+    # flushing its log on the MySQL node every 30 s.  Each flush freezes
+    # MySQL; queued queries exceed Tomcat's connection pool, Tomcat and
+    # then Apache fill up, and Apache drops: a two-hop upstream cascade.
+    "fig05": TimelineSpec(
+        figure="Fig 5",
+        title="upstream CTQO, I/O millibottleneck in MySQL "
+              "(collectl log flush)",
+        claim="I/O freeze in MySQL cascades to Apache drops",
+        nx=0,
+        bottleneck_kind="logflush",
+        bottleneck_tier="db",
+        duration=80.0,
+        flush_period=30.0,
+        flush_duration=0.5,
+        flush_offset=10.0,
+        app_vcpus=4,
+        expect_drops_at=("apache",),
+    ),
+    # NX=1, Nginx-Tomcat-MySQL: Nginx's ~65535-deep lightweight queue
+    # never drops, so it keeps forwarding into the stalled Tomcat, which
+    # drops past MaxSysQDepth(Tomcat)=293 (downstream CTQO).  The §V-B
+    # variant stalls MySQL instead: the still-synchronous Tomcat blocks
+    # on its 50-connection pool and drops (upstream CTQO).
+    "fig07": TimelineSpec(
+        figure="Fig 7",
+        title="NX=1, downstream CTQO at Tomcat (millibottleneck in Tomcat)",
+        claim="no drops at Nginx; Tomcat drops at 293",
+        nx=1,
+        bottleneck_kind="consolidation",
+        bottleneck_tier="app",
+        expect_drops_at=("tomcat",),
+        variants={
+            "mysql": TimelineSpec(
+                figure="§V-B",
+                title="NX=1, upstream CTQO at Tomcat "
+                      "(millibottleneck in MySQL)",
+                claim="MySQL millibottleneck still drops at Tomcat "
+                      "(upstream CTQO through the JDBC pool)",
+                nx=1,
+                bottleneck_kind="consolidation",
+                bottleneck_tier="db",
+                expect_drops_at=("tomcat",),
+            ),
+        },
+    ),
+    # NX=2, Nginx-XTomcat-MySQL: the asynchronous tiers never suffer
+    # CTQO, but their continuous inflow overwhelms the synchronous MySQL
+    # during its own stall; it drops past 100 threads + 128 backlog = 228.
+    "fig08": TimelineSpec(
+        figure="Fig 8",
+        title="NX=2, downstream CTQO at MySQL (millibottleneck in MySQL)",
+        claim="MySQL drops; queue caps at 228 = 100+128",
+        nx=2,
+        bottleneck_kind="consolidation",
+        bottleneck_tier="db",
+        expect_drops_at=("mysql",),
+    ),
+    # NX=2 with the stall in the asynchronous XTomcat: requests park in
+    # its lightweight queue, and when the stall ends XTomcat fires their
+    # queries in one batch that overflows MySQL's 228.
+    "fig09": TimelineSpec(
+        figure="Fig 9",
+        title="NX=2, downstream CTQO at MySQL (millibottleneck in XTomcat)",
+        claim="XTomcat's post-stall batch floods MySQL",
+        nx=2,
+        bottleneck_kind="consolidation",
+        bottleneck_tier="app",
+        expect_drops_at=("mysql",),
+    ),
+    # NX=3, Nginx-XTomcat-XMySQL: XTomcat's post-stall batch lands in
+    # XMySQL's lightweight queue (8 executors + a 2000-entry queue), which
+    # absorbs it; nothing drops and no VLRT request appears.
+    "fig10": TimelineSpec(
+        figure="Fig 10",
+        title="NX=3, no CTQO despite millibottleneck in XTomcat",
+        claim="no drops, no VLRT despite the same millibottlenecks",
+        nx=3,
+        bottleneck_kind="consolidation",
+        bottleneck_tier="app",
+        expect_no_drops=True,
+    ),
+    # NX=3 under Fig 5's log-flush freeze, now in XMySQL: every tier
+    # buffers to similar depths (no cross-tier amplification) and
+    # nothing drops.
+    "fig11": TimelineSpec(
+        figure="Fig 11",
+        title="NX=3, no CTQO despite I/O millibottleneck in XMySQL",
+        claim="no drops, no VLRT despite the I/O freezes",
+        nx=3,
+        bottleneck_kind="logflush",
+        bottleneck_tier="db",
+        duration=80.0,
+        flush_period=30.0,
+        flush_duration=0.5,
+        flush_offset=10.0,
+        expect_no_drops=True,
+    ),
+}

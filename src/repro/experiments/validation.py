@@ -22,7 +22,7 @@ from ..core.queueing import SteadyStateModel
 from ..topology.configs import SystemConfig
 from .report import format_table
 
-__all__ = ["WORKLOADS", "run", "run_experiment", "report", "main"]
+__all__ = ["WORKLOADS", "check_claims", "report", "run", "run_experiment"]
 
 WORKLOADS = (2000, 4000, 7000, 8000)
 
@@ -89,12 +89,10 @@ def report(points):
     )
 
 
-def main():
-    points = run()
-    print(report(points))
-    assert all(p["dropped"] == 0 for p in points), "clean runs must not drop"
-    return points
-
-
-if __name__ == "__main__":
-    main()
+def check_claims(points):
+    """Clean runs must not drop: no millibottleneck source, no CTQO."""
+    return [
+        f"WL {point['clients']} dropped {point['dropped']} packets "
+        "without a millibottleneck"
+        for point in points if point["dropped"]
+    ]

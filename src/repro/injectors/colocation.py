@@ -2,8 +2,7 @@
 
 In the paper, SysSteady-Tomcat shares a physical core with
 SysBursty-MySQL (Fig 2).  SysBursty idles most of the time but its
-workload bursts (burst index 100, or the scripted 400-request batches of
-§V-B) demand 100 % of the shared CPU for a few hundred milliseconds —
+workload bursts demand 100 % of the shared CPU for a few hundred milliseconds —
 starving the co-resident steady VM into a millibottleneck.
 
 We model SysBursty's co-located MySQL as an *antagonist VM* on the same
@@ -12,12 +11,11 @@ demand on the shared core matters to SysSteady (the rest of SysBursty
 ran on dedicated nodes), so this preserves the interference behaviour
 exactly — see the substitution table in DESIGN.md.
 
-Two trigger styles, matching the paper's two setups:
-
-- :meth:`ColocationInjector.scripted` — bursts at exact times
-  (reproducible millibottlenecks, the style of §V),
-- :meth:`ColocationInjector.bursty` — bursts from a two-state
-  burst modulator (the original burst-index-100 style of §IV-A).
+Bursts fire at exact times (:meth:`ColocationInjector.scripted`,
+reproducible millibottlenecks in the style of §V) or on a fixed period
+(:meth:`ColocationInjector.periodic`).  The emergent form of §IV-A, a
+complete SysBursty system driven by its own bursty arrivals, is
+:func:`~repro.topology.consolidation.build_consolidated_pair`.
 """
 
 from __future__ import annotations
@@ -83,14 +81,6 @@ class ColocationInjector:
             t += period
         return self.scripted(times)
 
-    def bursty(self, modulator):
-        """Drive bursts from a :class:`~repro.workload.BurstModulator`:
-        one burst fires at each normal→burst transition."""
-        self._ensure_background()
-        modulator.start()
-        self.sim.process(self._follow_modulator(modulator))
-        return self
-
     # ------------------------------------------------------------------
     def _ensure_background(self):
         if self._started:
@@ -112,16 +102,6 @@ class ColocationInjector:
         per_job = self.burst_cpu_seconds / self.burst_jobs
         for _ in range(self.burst_jobs):
             self.vm.execute(per_job)
-
-    def _follow_modulator(self, modulator):
-        seen = 0
-        while True:
-            yield 0.05
-            while seen < len(modulator.transitions):
-                when, state = modulator.transitions[seen]
-                seen += 1
-                if state == "burst":
-                    self._burst()
 
     def __repr__(self):
         return (

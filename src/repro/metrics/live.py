@@ -30,11 +30,12 @@ spent inside the telemetry hooks.
 Process-level configuration
 ---------------------------
 ``configure()`` installs a process-global :class:`LiveConfig` that
-:class:`~repro.core.evaluation.Scenario` picks up automatically — the
-hand-off that lets ``repro run --live`` and ``repro run-all --live``
-reach every experiment module without threading a parameter through
-eighteen ``run_experiment`` signatures.  ``reset()`` clears it; both
-are cheap and idempotent.
+every run picks up through :func:`attach_configured` — called by
+:class:`~repro.core.evaluation.Scenario` and by each experiment that
+builds its own system — the hand-off that lets ``repro run --live``
+and ``repro run-all --live`` reach every experiment without threading a
+parameter through the ``run_experiment`` signatures.  ``reset()``
+clears it; both are cheap and idempotent.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .detector import overflow_gauge
 from .online import OnlineEpisodeDetector
 from .window import LatencyWindows
 
-__all__ = ["LiveConfig", "LiveTelemetry", "active", "configure", "reset",
-           "render_heartbeats"]
+__all__ = ["LiveConfig", "LiveTelemetry", "active", "attach_configured",
+           "configure", "reset", "render_heartbeats"]
 
 #: rough per-trace-event retention cost (one (time, event, detail)
 #: tuple plus list slot) used for the heartbeat's bytes estimate
@@ -106,6 +107,24 @@ def reset():
     """Clear the process-global live configuration."""
     global _active
     _active = None
+
+
+def attach_configured(system, monitor, config=None):
+    """Live telemetry for one run of a built ``system``.
+
+    Builds ``config`` (default: the process-global one from
+    :func:`configure`) and attaches it to ``system`` and its
+    ``monitor``.  Returns ``(telemetry, sampler)``: the attached
+    :class:`LiveTelemetry` and its trace sampler, each ``None`` when
+    live mode (or sampling) is off.  Every run that builds its own
+    system calls this before ``sim.run``, hands ``sampler`` to its
+    client and calls ``telemetry.finish()`` after the run.
+    """
+    config = _active if config is None else config
+    if config is None:
+        return None, None
+    telemetry = config.build(system.sim).attach(system, monitor)
+    return telemetry, telemetry.sampler
 
 
 class LiveTelemetry:

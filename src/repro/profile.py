@@ -8,10 +8,11 @@ raw profile in the binary pstats format, loadable by ``snakeviz``,
 
 Targets
 -------
-- every experiment of :data:`EXPERIMENT_TARGETS` (``fig01``,
-  ``fig03``, ..., ``cache_storage``: every experiment ``repro run``
-  knows) — profiled through a single representative run at its usual
-  duration, or a CI-sized one with ``--quick``;
+- every experiment ``repro run`` knows (the registry,
+  :data:`repro.experiments.runner.REGISTRY`): one with single runs is
+  profiled through its representative cell (the one ``repro diagnose``
+  examines), any other through its whole ``run``; ``--quick`` runs
+  either at the registry's quick scale (``repro run-all --quick``);
 - every benchmark workload from :mod:`repro.bench`
   (``kernel_callbacks``, ``fig01_streaming_1m``, ...) — profiled at
   scale 1.0, or 0.25 with ``--quick``.
@@ -34,7 +35,6 @@ import gc
 import pstats
 import sys
 import time
-from importlib import import_module
 
 __all__ = ["add_arguments", "list_targets", "main", "run_cli"]
 
@@ -70,68 +70,26 @@ def _bench_targets():
     return {name: workload for name, workload, _repeats in bench.BENCHMARKS}
 
 
-def _fig01(quick):
-    from .experiments import fig01_histograms
+def _experiment_target(name, quick):
+    """A zero-argument thunk running registry experiment ``name``: its
+    representative single run, or else its whole ``run``, at the
+    registry's quick scale with ``quick``."""
+    from .experiments import runner
 
-    return lambda: fig01_histograms.run_one(
-        7000, duration=6.0 if quick else 45.0, warmup=1.0 if quick else 5.0,
-        seed=42,
-    )
-
-
-def _timeline(name):
-    """The target of a timeline figure: one run at its own duration, or
-    10 s with ``--quick``."""
-
-    def target(quick):
-        from .cli import _TIMELINES
-        from .experiments.timeline import run_timeline
-
-        spec = _TIMELINES[name].SPEC
-        return lambda: run_timeline(spec, duration=10.0 if quick else None)
-
-    return target
-
-
-def _call(module, function, quick_duration, duration, *args):
-    """The target calling ``repro.experiments.<module>.<function>(*args,
-    duration=...)``."""
-
-    def target(quick):
-        call = getattr(
-            import_module(f"{__package__}.experiments.{module}"), function
-        )
-        return lambda: call(*args,
-                            duration=quick_duration if quick else duration)
-
-    return target
-
-
-#: experiment name -> ``target(quick)``, which returns a zero-argument
-#: thunk running one representative workload of the experiment; the
-#: experiments ``repro profile`` accepts and lists
-EXPERIMENT_TARGETS = {
-    "fig01": _fig01,
-    "fig03": _timeline("fig03"),
-    "fig05": _timeline("fig05"),
-    "fig07": _timeline("fig07"),
-    "fig08": _timeline("fig08"),
-    "fig09": _timeline("fig09"),
-    "fig10": _timeline("fig10"),
-    "fig11": _timeline("fig11"),
-    "fig12": _call("fig12_throughput", "run", 6.0, 25.0),
-    "headline": _call("headline_utilization", "run", 10.0, 60.0),
-    "policy_matrix": _call("policy_matrix", "run", 10.0, 40.0),
-    "scaleout": _call("scaleout", "run", 10.0, 40.0),
-    # one cell of each: their full sweeps take many minutes
-    "fanout": _call("fanout", "run_one", 6.0, 12.0, "sync"),
-    "cache_storage": _call("cache_storage", "run_one", 8.0, 16.0, "storm"),
-}
+    experiment = runner.experiment(name)
+    params = runner.REGISTRY[name].quick if quick else {}
+    if hasattr(experiment, "single_run"):
+        scale = {"duration": params["duration"]} if quick else {}
+        _heading, simulate = experiment.single_run(**scale)
+        return simulate
+    return lambda: experiment.run(**params)
 
 
 def list_targets():
     """Every name ``repro profile`` accepts."""
-    return sorted(EXPERIMENT_TARGETS) + sorted(_bench_targets())
+    from .experiments import runner
+
+    return runner.names_with("run") + sorted(_bench_targets())
 
 
 def add_arguments(parser):
@@ -141,7 +99,8 @@ def add_arguments(parser):
                              "workload (see 'repro bench') to profile; "
                              "'list' prints every accepted name")
     parser.add_argument("--quick", action="store_true",
-                        help="CI-sized run: short experiment durations, "
+                        help="CI-sized run: the registry's quick "
+                             "experiment scale (as 'run-all --quick'), "
                              "benchmark scale 0.25")
     parser.add_argument("--top", type=int, default=DEFAULT_TOP,
                         help=f"rows in the hot-function table "
@@ -166,8 +125,8 @@ def run_cli(args):
         scale = 0.25 if args.quick else 1.0
         target = lambda: workload(scale)  # noqa: E731
         described = f"benchmark {args.target} (scale {scale:g})"
-    elif args.target in EXPERIMENT_TARGETS:
-        target = EXPERIMENT_TARGETS[args.target](args.quick)
+    elif args.target in list_targets():
+        target = _experiment_target(args.target, args.quick)
         described = (f"experiment {args.target}"
                      f"{' (quick)' if args.quick else ''}")
     else:

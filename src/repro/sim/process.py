@@ -14,7 +14,8 @@ something to wait for:
 A :class:`Process` is itself an :class:`~repro.sim.events.Event` that
 succeeds with the generator's return value (or fails with its uncaught
 exception), so processes compose: one process can wait for another, or be
-combined with ``any_of`` / ``all_of``.
+combined with ``any_of`` / ``all_of``.  An uncaught exception in a process
+nothing waits on propagates out of ``Simulator.run``.
 """
 
 from __future__ import annotations
@@ -88,6 +89,21 @@ class Process(Event):
         """
         self.generator = self._send = self._gthrow = self._resume_cb = None
 
+    def _crash(self, exc):
+        """End the process with the uncaught exception ``exc``.
+
+        The process fails as an event, so whoever waits on it can react.
+        With nobody waiting, the exception propagates out of
+        ``Simulator.run`` instead: a fault in a client, arrival loop or
+        injector must stop the run, not silently lose its work.
+        """
+        self._release()
+        if self.callbacks is None:
+            self._state = _FAILED
+            self._value = exc
+            raise exc
+        self.fail(exc)
+
     def _resume(self, event):
         """Advance the generator with the value of the triggered event."""
         if self._state != _PENDING:
@@ -109,10 +125,7 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except Exception as exc:
-            # An uncaught exception terminates the process; it surfaces as
-            # a failure of the process event so waiters can react to it.
-            self._release()
-            self.fail(exc)
+            self._crash(exc)
             return
         self._wait_for(target)
 
@@ -128,8 +141,7 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except Exception as exc:
-            self._release()
-            self.fail(exc)
+            self._crash(exc)
             return
         self._wait_for(target)
 
@@ -150,8 +162,7 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except Exception as exc:
-            self._release()
-            self.fail(exc)
+            self._crash(exc)
             return
         self._wait_for(target)
 

@@ -61,7 +61,8 @@ class ConsolidatedPair:
 
     def start_workloads(self, steady_clients=7000, steady_think=7.0,
                         bursty_normal_rate=60.0, bursty_burst_rate=4000.0,
-                        burst_duration=0.6, normal_duration=14.0):
+                        burst_duration=0.6, normal_duration=14.0,
+                        sampler=None):
         """Attach both systems' workloads (paper's §IV-A).
 
         SysSteady is the standard closed-loop population.  SysBursty is
@@ -73,12 +74,13 @@ class ConsolidatedPair:
         (Think-time modulation of a closed population cannot switch an
         arrival rate within a half-second episode — sleeping clients do
         not wake for a burst — so the MMPP form is the faithful one.)
+        ``sampler`` is SysSteady's trace sampler (live telemetry's).
         """
         self.steady_clients = ClosedLoopPopulation(
             self.sim, self.steady.fabric, self.steady.entry,
             self.steady.app, self.steady.log,
             clients=steady_clients, think_mean=steady_think,
-            rng_label="syssteady-clients",
+            rng_label="syssteady-clients", sampler=sampler,
         ).start()
         self.bursty_clients = MmppOpenLoop(
             self.sim, self.bursty.fabric, self.bursty.entry,

@@ -557,13 +557,15 @@ class GraphSystem(ServiceSystem):
     # ------------------------------------------------------------------
     # workload
     # ------------------------------------------------------------------
-    def open_loop(self, rate, rng_label=None):
+    def open_loop(self, rate, rng_label=None, sampler=None):
         """Attach a Poisson client at ``rate`` req/s: an
         :class:`~repro.workload.generators.OpenLoopPoisson` whose every
-        request is of kind :attr:`request_kind`."""
+        request is of kind :attr:`request_kind`.  ``sampler`` decides
+        which requests keep their trace (see the generators)."""
         OpenLoopPoisson(
             self.sim, self.fabric, self.entry, _OneKind(self.request_kind),
             self.log, rate, rng_label=rng_label or self.clients_rng_label,
+            sampler=sampler,
         ).start()
         return self
 

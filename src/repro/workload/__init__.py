@@ -1,7 +1,7 @@
-"""Workload generation: closed-loop clients, bursts, scripted batches,
-and array-backed open-loop streams for million-request runs."""
+"""Workload generation: closed-loop clients, open-loop and MMPP
+streams, scripted batches, and array-backed open-loop streams for
+million-request runs."""
 
-from .burst import BurstModulator, SteadyModulator
 from .generators import (
     ClosedLoopPopulation,
     MmppOpenLoop,
@@ -12,12 +12,10 @@ from .openloop import ArrayOpenLoop, arrival_times, numpy_seed_for
 
 __all__ = [
     "ArrayOpenLoop",
-    "BurstModulator",
     "ClosedLoopPopulation",
     "MmppOpenLoop",
     "OpenLoopPoisson",
     "ScriptedBurst",
-    "SteadyModulator",
     "arrival_times",
     "numpy_seed_for",
 ]

@@ -80,12 +80,10 @@ class ClosedLoopPopulation(_GeneratorBase):
     think_mean:
         Mean exponential think time in seconds (≈7 s reproduces the
         paper's workload-to-throughput mapping).
-    modulator:
-        Optional burst modulator scaling think times (burst index > 1).
     """
 
     def __init__(self, sim, fabric, entry, app, log, clients,
-                 think_mean=7.0, modulator=None, rng_label="clients",
+                 think_mean=7.0, rng_label="clients",
                  sampler=None):
         if clients < 1:
             raise ValueError(f"clients must be >= 1, got {clients}")
@@ -94,7 +92,6 @@ class ClosedLoopPopulation(_GeneratorBase):
         super().__init__(sim, fabric, entry, app, log, sampler=sampler)
         self.clients = clients
         self.think_mean = think_mean
-        self.modulator = modulator
         self.rng = sim.fork_rng(rng_label)
         self._started = False
 
@@ -102,8 +99,6 @@ class ClosedLoopPopulation(_GeneratorBase):
         if self._started:
             return self
         self._started = True
-        if self.modulator is not None:
-            self.modulator.start()
         for _ in range(self.clients):
             self.sim.process(self._client())
         return self
@@ -120,10 +115,7 @@ class ClosedLoopPopulation(_GeneratorBase):
         while True:
             spec = self.app.sample(rng)
             yield from self._perform(spec)
-            think = rng.expovariate(1.0 / self.think_mean)
-            if self.modulator is not None:
-                think *= self.modulator.think_multiplier()
-            yield think
+            yield rng.expovariate(1.0 / self.think_mean)
 
 
 class OpenLoopPoisson(_GeneratorBase):

@@ -12,7 +12,8 @@ import pstats
 import pytest
 
 from repro import bench, profile
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+from repro.experiments import runner
 
 from reference_kernel import use_heap_kernel
 
@@ -124,9 +125,20 @@ def test_every_listed_experiment_resolves_to_a_profile_target():
     benches = {name for name, _workload, _repeats in bench.BENCHMARKS}
     experiments = [name for name in profile.list_targets()
                    if name not in benches]
-    assert set(experiments) == set(EXPERIMENTS)
+    assert experiments == runner.names_with("run")
     for name in experiments:
-        assert callable(profile.EXPERIMENT_TARGETS[name](True)), name
+        for quick in (True, False):
+            assert callable(profile._experiment_target(name, quick)), name
+
+
+def test_registry_quick_params_are_keywords_of_run():
+    """``profile --quick`` passes an experiment's registry quick params
+    to its ``run`` (or the quick duration to its single run)."""
+    import inspect
+
+    for name in runner.names_with("run"):
+        parameters = inspect.signature(runner.experiment(name).run).parameters
+        assert set(runner.REGISTRY[name].quick) <= set(parameters), name
 
 
 def test_profile_rejects_unknown_target(capsys):

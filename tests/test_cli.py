@@ -5,14 +5,111 @@ import os
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments import runner
 
 
 def test_list_prints_every_experiment(capsys):
+    """``repro list`` is the registry: exactly its names, in order, each
+    with the registry's one description."""
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in EXPERIMENTS:
-        assert name in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(runner.REGISTRY)
+    for line, spec in zip(lines, runner.REGISTRY.values()):
+        assert spec.description in line
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Replace every registry experiment's run, report and single runs
+    with stubs, so a command can be driven end to end without
+    simulating anything; returns the names ``run`` was called for."""
+    called = []
+    for name in runner.REGISTRY:
+        experiment = runner.experiment(name)
+        if not hasattr(experiment, "run"):
+            continue
+
+        def run(_name=name, **options):
+            called.append((_name, options))
+            return _name
+
+        monkeypatch.setattr(experiment, "run", run)
+        monkeypatch.setattr(experiment, "report",
+                            lambda result: f"report of {result}")
+        if hasattr(experiment, "check_claims"):
+            monkeypatch.setattr(experiment, "check_claims",
+                                lambda result: [])
+    return called
+
+
+def test_run_resolves_every_registry_name(no_simulation, capsys):
+    """Every registry name is a ``repro run`` choice: it calls that
+    experiment's own ``run`` (passing nothing it was not given) and
+    prints its report; the one without a figure exits 2 naming
+    ``run-all``."""
+    for name in runner.REGISTRY:
+        status = main(["run", name])
+        captured = capsys.readouterr()
+        if name in runner.names_with("run"):
+            assert status == 0, name
+            assert no_simulation[-1] == (name, {})
+            assert f"report of {name}" in captured.out
+        else:
+            assert status == 2, name
+            assert f"run-all --jobs {name}" in captured.err
+    assert main(["run", "fig03", "--duration", "7", "--streaming"]) == 0
+    assert no_simulation[-1] == ("fig03", {"duration": 7.0,
+                                           "streaming": True})
+
+
+def test_run_exits_1_when_claims_fail(no_simulation, monkeypatch, capsys):
+    experiment = runner.experiment("fanout")
+    monkeypatch.setattr(experiment, "check_claims",
+                        lambda result: ["a claim failed"])
+    assert main(["run", "fanout"]) == 1
+
+
+@pytest.mark.parametrize("name", ["headline", "all"])
+@pytest.mark.parametrize("flag", [["--out", "raw"], ["--diagnose"]])
+def test_run_rejects_single_run_flags_before_simulating(
+        name, flag, no_simulation, capsys):
+    """--out and --diagnose act on single runs: an experiment without
+    any (``all`` includes some) fails with one line before anything
+    runs."""
+    assert main(["run", name, "--duration", "12", *flag]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "headline" in err
+    assert no_simulation == []
+
+
+def _parses(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        return False
+    return True
+
+
+def test_diagnose_and_profile_accept_only_registry_names(capsys):
+    """The experiment names ``repro diagnose`` and ``repro profile
+    list`` accept come from the registry: diagnose takes exactly those
+    with single runs, profile every one ``repro run`` takes."""
+    from repro import bench
+
+    accepted = [name for name in runner.REGISTRY
+                if _parses(["diagnose", name])]
+    assert accepted == runner.names_with("single_run")
+    assert accepted[:2] == ["fig01", "fig03"]
+    assert not _parses(["diagnose", "fig99"])
+    capsys.readouterr()
+    assert main(["profile", "list"]) == 0
+    benches = {name for name, _workload, _repeats in bench.BENCHMARKS}
+    listed = [name for name in capsys.readouterr().out.split()
+              if name not in benches]
+    assert listed == runner.names_with("run")
+    assert set(listed) == set(runner.REGISTRY) - {"nx_sweep"}
 
 
 def test_conditions_paper_example(capsys):

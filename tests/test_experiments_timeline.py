@@ -3,8 +3,7 @@
 
 import pytest
 
-from repro.experiments import fig03_vm_consolidation, fig10_nx3_xtomcat
-from repro.experiments.timeline import TimelineResult, TimelineSpec
+from repro.experiments.timeline import TIMELINES, TimelineResult, TimelineSpec
 
 
 def spec(**overrides):
@@ -106,20 +105,61 @@ def test_no_drops_claim():
 # the shipped figure specs
 # ----------------------------------------------------------------------
 def test_fig03_spec_expectations():
-    the_spec = fig03_vm_consolidation.SPEC
+    the_spec = TIMELINES["fig03"]
     assert the_spec.nx == 0
     assert the_spec.bottleneck_tier == "app"
     assert the_spec.expect_drops_at == ("apache",)
 
 
 def test_fig10_spec_expectations():
-    the_spec = fig10_nx3_xtomcat.SPEC
+    the_spec = TIMELINES["fig10"]
     assert the_spec.nx == 3
     assert the_spec.expect_no_drops
 
 
 def test_unknown_bottleneck_kind_rejected():
-    from repro.experiments.timeline import run_timeline
-
     with pytest.raises(ValueError):
-        run_timeline(spec(bottleneck_kind="cosmic-rays"))
+        spec(bottleneck_kind="cosmic-rays").run()
+
+
+# ----------------------------------------------------------------------
+# the table is the registry's source for timeline figures
+# ----------------------------------------------------------------------
+def test_every_table_row_is_one_registry_entry():
+    """A timeline figure is declared once, as a row: the registry
+    entry, its description and its variant jobs come from the table."""
+    from repro.experiments.runner import REGISTRY, experiment
+
+    timeline_entries = [
+        name for name, entry in REGISTRY.items()
+        if entry.entry == "repro.experiments.timeline:run_experiment"
+    ]
+    assert timeline_entries == list(TIMELINES)
+    for name, row in TIMELINES.items():
+        assert REGISTRY[name].description == row.title
+        assert REGISTRY[name].variants == (
+            ({},) + tuple({"variant": v} for v in row.variants)
+        )
+        assert experiment(name) is row
+        assert row.claim
+    assert REGISTRY["fig07"].variants == ({}, {"variant": "mysql"})
+    assert TIMELINES["fig07"].variant("mysql").bottleneck_tier == "db"
+
+
+def test_unknown_variant_names_the_valid_ones():
+    with pytest.raises(ValueError, match="valid variants: mysql"):
+        TIMELINES["fig07"].variant("bogus")
+    with pytest.raises(ValueError, match="valid variants: none"):
+        TIMELINES["fig03"].single_run(variant="mysql")
+
+
+def test_report_prints_every_servers_end_of_run_max_sys_q_depth():
+    result = TIMELINES["fig03"].run(duration=7.0, clients=300)
+    lines = result.report().splitlines()
+    depths = [line for line in lines if line.startswith("MaxSysQDepth(")]
+    assert depths == [
+        f"MaxSysQDepth({result.names[tier]}) = "
+        f"{result.run.system.servers[tier].max_sys_q_depth}"
+        for tier in ("web", "app", "db")
+    ]
+    assert depths[0] == "MaxSysQDepth(apache) = 278"

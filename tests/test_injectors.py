@@ -5,7 +5,6 @@ import pytest
 from repro.cpu import Host
 from repro.injectors import ColocationInjector, LogFlushInjector
 from repro.sim import Simulator
-from repro.workload import BurstModulator
 
 
 @pytest.fixture
@@ -67,18 +66,6 @@ def test_periodic_bursts(sim):
     injector.periodic(3.0, until=10.0)
     sim.run(until=12.0)
     assert injector.burst_times == [3.0, 6.0, 9.0]
-
-
-def test_modulator_driven_bursts(sim):
-    host = Host(sim, cores=1)
-    injector = ColocationInjector(sim, host, burst_cpu_seconds=0.05,
-                                  burst_jobs=5)
-    modulator = BurstModulator(sim, intensity=5.0, burst_duration=0.5,
-                               normal_duration=2.0)
-    injector.bursty(modulator)
-    sim.run(until=30.0)
-    burst_transitions = [t for t, s in modulator.transitions if s == "burst"]
-    assert len(injector.burst_times) == len(burst_transitions)
 
 
 def test_background_load_is_negligible(sim):

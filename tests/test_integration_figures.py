@@ -9,16 +9,7 @@ monitoring, analysis — composes into the paper's phenomena.
 
 import pytest
 
-from repro.experiments import (
-    fig03_vm_consolidation,
-    fig05_log_flush,
-    fig07_nx1,
-    fig08_nx2_mysql,
-    fig09_nx2_xtomcat,
-    fig10_nx3_xtomcat,
-    fig11_nx3_xmysql,
-    run_timeline,
-)
+from repro.experiments import TIMELINES
 
 pytestmark = [pytest.mark.integration, pytest.mark.slow]
 
@@ -28,7 +19,7 @@ SHORT = 26.0
 
 @pytest.fixture(scope="module")
 def fig03():
-    return run_timeline(fig03_vm_consolidation.SPEC, duration=SHORT)
+    return TIMELINES["fig03"].run(duration=SHORT)
 
 
 def test_fig03_upstream_ctqo_drops_at_apache(fig03):
@@ -69,7 +60,7 @@ def test_fig03_ctqo_classified_upstream(fig03):
 
 
 def test_fig05_log_flush_cascades_to_apache():
-    result = run_timeline(fig05_log_flush.SPEC, duration=45.0)
+    result = TIMELINES["fig05"].run(duration=45.0)
     assert result.check_claims() == []
     # the I/O millibottleneck is visible in the MySQL iowait series
     episodes = [e for e in result.run.millibottlenecks() if e.kind == "io"]
@@ -81,28 +72,28 @@ def test_fig05_log_flush_cascades_to_apache():
 
 
 def test_fig07_nx1_drops_move_to_tomcat():
-    result = run_timeline(fig07_nx1.SPEC, duration=SHORT)
+    result = TIMELINES["fig07"].run(duration=SHORT)
     assert result.check_claims() == []
     assert result.drops["nginx"] == 0
     assert result.run.queue_max()["tomcat"] == 293
 
 
 def test_fig07_variant_mysql_millibottleneck_also_drops_at_tomcat():
-    result = run_timeline(fig07_nx1.SPEC_MYSQL, duration=SHORT)
+    result = TIMELINES["fig07"].variant("mysql").run(duration=SHORT)
     assert result.check_claims() == []
     assert result.drops["nginx"] == 0
     assert result.drops["mysql"] == 0
 
 
 def test_fig08_nx2_mysql_drops_at_228():
-    result = run_timeline(fig08_nx2_mysql.SPEC, duration=SHORT)
+    result = TIMELINES["fig08"].run(duration=SHORT)
     assert result.check_claims() == []
     assert result.run.queue_max()["mysql"] == 228
     assert result.drops["nginx"] == 0 and result.drops["xtomcat"] == 0
 
 
 def test_fig09_xtomcat_batch_floods_mysql():
-    result = run_timeline(fig09_nx2_xtomcat.SPEC, duration=SHORT)
+    result = TIMELINES["fig09"].run(duration=SHORT)
     assert result.check_claims() == []
     assert result.drops["mysql"] > 0
     # the async tiers themselves never drop
@@ -112,14 +103,14 @@ def test_fig09_xtomcat_batch_floods_mysql():
 
 
 def test_fig10_nx3_no_drops_no_vlrt():
-    result = run_timeline(fig10_nx3_xtomcat.SPEC, duration=SHORT)
+    result = TIMELINES["fig10"].run(duration=SHORT)
     assert result.check_claims() == []
     assert result.summary()["vlrt"] == 0
     assert result.summary()["failed"] == 0
 
 
 def test_fig11_nx3_log_flush_no_drops():
-    result = run_timeline(fig11_nx3_xmysql.SPEC, duration=45.0)
+    result = TIMELINES["fig11"].run(duration=45.0)
     assert result.check_claims() == []
     assert result.summary()["vlrt"] == 0
     # XMySQL buffered the freeze in its lightweight queue
@@ -129,8 +120,8 @@ def test_fig11_nx3_log_flush_no_drops():
 def test_same_seed_same_figure():
     """Full determinism at system scale: identical runs, identical drops
     and identical response-time multiset."""
-    a = run_timeline(fig03_vm_consolidation.SPEC, duration=SHORT)
-    b = run_timeline(fig03_vm_consolidation.SPEC, duration=SHORT)
+    a = TIMELINES["fig03"].run(duration=SHORT)
+    b = TIMELINES["fig03"].run(duration=SHORT)
     assert a.drops == b.drops
     assert sorted(a.run.log.response_times()) == sorted(
         b.run.log.response_times()
@@ -144,10 +135,10 @@ def test_replication_dilutes_but_keeps_ctqo():
     round-robin head-of-line blocking keeps upstream CTQO alive."""
     from repro.experiments import replication
 
-    single = replication.run(replicas=1, duration=26.0,
-                             burst_times=(15.0,))
-    double = replication.run(replicas=2, duration=26.0,
-                             burst_times=(15.0,))
+    single = replication.run_one(replicas=1, duration=26.0,
+                                 burst_times=(15.0,))
+    double = replication.run_one(replicas=2, duration=26.0,
+                                 burst_times=(15.0,))
     assert single["drops"]["apache"] > 0
     assert double["drops"]["apache"] > 0           # still drops
     assert double["drops"]["apache"] < single["drops"]["apache"]

@@ -312,3 +312,50 @@ def test_chrome_trace_live_tracks():
     assert tomcat_tids != mysql_tids
     # without live tracks, no pid-4 events appear at all
     assert not [e for e in chrome_trace_events() if e.get("pid") == 4]
+
+
+def _fanout_cell(**overrides):
+    from repro.experiments import fanout
+
+    return fanout.run_one("sync", clients=700, n=4, duration=6.0,
+                          warmup=1.0, **overrides)
+
+
+def test_live_fanout_cell_writes_heartbeats_with_leaf_tiers():
+    """A run that builds its own system picks up the configured live
+    mode too: a fan-out cell writes heartbeats carrying its leaf tiers,
+    while the cell (its RunResult aside) equals the cell run without
+    live mode: the leaf observer and the telemetry's share the
+    server's one observer slot."""
+    plain = _fanout_cell()
+    sink = io.StringIO()
+    live.configure(interval=1.0, sink=sink, label="fanout")
+    try:
+        watched = _fanout_cell()
+    finally:
+        live.reset()
+    beats = [json.loads(line) for line in sink.getvalue().splitlines()]
+    assert len(beats) >= 6
+    assert beats[-1]["final"]
+    assert {"root", "leaf1", "leaf4"} <= set(beats[-1]["tiers"])
+    assert watched["result"].telemetry.heartbeats == beats
+    assert plain["result"].telemetry is None
+
+    def cell(out):
+        return {key: value for key, value in out.items() if key != "result"}
+
+    assert cell(watched) == cell(plain)
+    assert watched["leaf_samples"] > 0
+
+
+def test_live_sampler_reaches_the_client_of_a_built_system():
+    """``--sample-rate`` decides trace keeping for every client the
+    configured telemetry is attached to, the graph client included."""
+    live.configure(interval=1.0, sample_rate=0.5, trace_budget=100)
+    try:
+        cell = _fanout_cell()
+    finally:
+        live.reset()
+    counters = cell["result"].telemetry.sampler.counters()
+    assert counters["considered"] == len(cell["result"].system.log) > 0
+    assert counters["retained"] > 0

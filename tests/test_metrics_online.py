@@ -331,15 +331,13 @@ def test_run_equivalence_consolidation():
 def test_run_equivalence_quick_registry_experiments():
     # the real thing: registry experiments (not scaled-down doubles)
     # run under ambient live mode, online answers == offline answers
-    from repro.experiments import fig01_histograms, fig03_vm_consolidation
-    from repro.experiments import fig05_log_flush
-    from repro.experiments.timeline import run_timeline
+    from repro.experiments import TIMELINES, fig01_histograms
     from repro.metrics import live as live_mode
 
     live_mode.configure(interval=2.0)
     try:
-        for spec in (fig03_vm_consolidation.SPEC, fig05_log_flush.SPEC):
-            result = run_timeline(spec, duration=14.0)
+        for name in ("fig03", "fig05"):
+            result = TIMELINES[name].run(duration=14.0)
             assert_run_equivalent(result.run)
             # these figures exist because millibottlenecks happen:
             # the equivalence must be exercised on non-empty episode sets

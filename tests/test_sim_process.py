@@ -132,14 +132,53 @@ def test_interrupt_finished_process_is_noop(sim):
 
 
 def test_unhandled_interrupt_fails_process(sim):
+    """Nothing waits on the process, so the interrupt it does not catch
+    stops the run."""
     def proc():
         yield 100.0
 
     p = sim.process(proc())
     sim.call_in(1.0, p.interrupt)
-    sim.run()
+    with pytest.raises(ProcessInterrupt):
+        sim.run()
+    assert sim.now == 1.0
     assert p.failed
     assert isinstance(p.value, ProcessInterrupt)
+
+
+def test_unwatched_process_fault_stops_the_run(sim):
+    """A process that raises with nothing waiting on it must not fail
+    silently: the exception leaves ``run`` at the instant it happened."""
+    def proc():
+        yield 0.1
+        raise KeyError("lost")
+
+    p = sim.process(proc())
+    with pytest.raises(KeyError):
+        sim.run(until=1.0)
+    assert sim.now == pytest.approx(0.1)
+    assert p.failed
+
+
+def test_watched_process_fault_fails_as_an_event(sim):
+    """A process someone waits on still fails as an event: the waiter
+    receives the exception and the run goes on."""
+    def worker():
+        yield 0.1
+        raise KeyError("handled")
+
+    caught = []
+
+    def parent():
+        try:
+            yield sim.process(worker())
+        except KeyError as exc:
+            caught.append((sim.now, exc.args[0]))
+
+    sim.process(parent())
+    sim.run(until=1.0)
+    assert caught == [(pytest.approx(0.1), "handled")]
+    assert sim.now == 1.0
 
 
 def test_stale_wakeup_after_interrupt_is_ignored(sim):
@@ -204,7 +243,8 @@ def test_yield_bad_type_fails_process(sim):
         yield "not an event"
 
     p = sim.process(proc())
-    sim.run()
+    with pytest.raises(TypeError):
+        sim.run()
     assert p.failed
     assert isinstance(p.value, TypeError)
 

@@ -6,13 +6,7 @@ from repro.apps.rubbos import RubbosApplication
 from repro.metrics import RequestLog
 from repro.net import NetworkFabric
 from repro.sim import Simulator
-from repro.workload import (
-    BurstModulator,
-    ClosedLoopPopulation,
-    OpenLoopPoisson,
-    ScriptedBurst,
-    SteadyModulator,
-)
+from repro.workload import ClosedLoopPopulation, OpenLoopPoisson, ScriptedBurst
 
 from conftest import tiny_mix
 
@@ -160,60 +154,3 @@ def test_scripted_burst_validates_batch(sim, fabric, app):
                       batch_size=0)
 
 
-# ----------------------------------------------------------------------
-# burst modulation
-# ----------------------------------------------------------------------
-def test_steady_modulator_multiplier_is_one():
-    modulator = SteadyModulator().start()
-    assert modulator.think_multiplier() == 1.0
-
-
-def test_from_index_one_gives_steady(sim):
-    assert isinstance(BurstModulator.from_index(sim, 1), SteadyModulator)
-
-
-def test_from_index_maps_to_sqrt_intensity(sim):
-    modulator = BurstModulator.from_index(sim, 100)
-    assert modulator.intensity == pytest.approx(10.0)
-
-
-def test_from_index_rejects_below_one(sim):
-    with pytest.raises(ValueError):
-        BurstModulator.from_index(sim, 0)
-
-
-def test_modulator_alternates_states(sim):
-    modulator = BurstModulator(sim, intensity=5.0, burst_duration=0.5,
-                               normal_duration=2.0).start()
-    sim.run(until=60.0)
-    states = [state for _t, state in modulator.transitions]
-    assert "burst" in states and "normal" in states
-    for first, second in zip(states, states[1:]):
-        assert first != second  # strict alternation
-
-
-def test_modulator_multiplier_during_burst(sim):
-    modulator = BurstModulator(sim, intensity=4.0)
-    assert modulator.think_multiplier() == 1.0
-    modulator.in_burst = True
-    assert modulator.think_multiplier() == pytest.approx(0.25)
-
-
-def test_modulator_dwell_times_roughly_exponential(sim):
-    modulator = BurstModulator(sim, intensity=2.0, burst_duration=0.5,
-                               normal_duration=1.5).start()
-    sim.run(until=2000.0)
-    burst_spans = []
-    transitions = modulator.transitions
-    for (t0, s0), (t1, _s1) in zip(transitions, transitions[1:]):
-        if s0 == "burst":
-            burst_spans.append(t1 - t0)
-    mean = sum(burst_spans) / len(burst_spans)
-    assert mean == pytest.approx(0.5, rel=0.15)
-
-
-def test_modulator_validates_parameters(sim):
-    with pytest.raises(ValueError):
-        BurstModulator(sim, intensity=0.5)
-    with pytest.raises(ValueError):
-        BurstModulator(sim, intensity=2.0, burst_duration=0)

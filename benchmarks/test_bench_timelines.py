@@ -88,5 +88,5 @@ def test_fig02_emergent(once, benchmark):
     assert result["burst_times"], "SysBursty never burst"
     # the shared-core tenant idles between episodes (the paper's
     # "negligible amount")
-    monitor = result["monitor"]
+    monitor = result["result"].monitor
     assert monitor.host_cpu["sysbursty-mysql"].mean() < 0.3

@@ -146,8 +146,8 @@ def _live_settings(args):
 
 def _cmd_run(args):
     if args.experiment == "all":
-        names = runner.names_with("run")
-    elif hasattr(runner.experiment(args.experiment), "run"):
+        names = runner.names_with("report")
+    elif hasattr(runner.experiment(args.experiment), "report"):
         names = [args.experiment]
     else:
         print(f"error: {args.experiment} prints no figure of its own; run "

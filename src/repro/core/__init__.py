@@ -1,7 +1,7 @@
 """The paper's primary contribution as a library.
 
-- the §V evaluation harness (scenarios and NX sweeps), whose
-  ``RunResult`` answers ``millibottlenecks()``, ``ctqo_events()`` and
+- the §V evaluation harness (the one run lifecycle ``simulate``,
+  scenarios and NX sweeps), whose ``RunResult`` answers ``millibottlenecks()``, ``ctqo_events()`` and
   ``attribution()`` through the one detector and CTQO engine in
   :mod:`repro.metrics` (``detector`` and ``attribution``),
 - the automated post-mortem (``diagnose``),
@@ -17,7 +17,7 @@ from .conditions import (
     predicted_overflow,
 )
 from .diagnosis import Diagnosis, diagnose
-from .evaluation import GraphRunResult, RunResult, Scenario, nx_sweep
+from .evaluation import RunResult, Scenario, nx_sweep, simulate
 from .queueing import SteadyStateModel, TierDemand, ps_response_time
 from .tail import (
     is_multimodal,
@@ -30,7 +30,6 @@ from .tail import (
 
 __all__ = [
     "Diagnosis",
-    "GraphRunResult",
     "diagnose",
     "RunResult",
     "Scenario",
@@ -47,5 +46,6 @@ __all__ = [
     "percentiles",
     "predicted_overflow",
     "semilog_histogram",
+    "simulate",
     "tail_heaviness",
 ]

@@ -1,12 +1,16 @@
-"""Scenario runner and the NX-sweep evaluation harness.
+"""The one run lifecycle, the scenario runner and the NX-sweep harness.
 
-:class:`Scenario` assembles a complete experiment — system, workload,
-millibottleneck injectors, monitoring — runs it, and returns a
-:class:`RunResult` with everything the paper's figures are drawn from.
-:func:`nx_sweep` repeats one scenario across asynchrony levels
-(NX = 0..3), which is the paper's §V evaluation method: "All the
-experiments use the same workload to produce the same millibottlenecks,
-so we can study and compare the impact of asynchronous messages".
+:func:`simulate` runs a built system — warm-up, monitor, live
+telemetry, clients and injectors, the simulator, the result — and is
+the only code that does so: every experiment's simulated run goes
+through it and returns a :class:`RunResult` with everything the
+paper's figures are drawn from.  :class:`Scenario` assembles a 3-tier
+experiment — system, workload, millibottleneck injectors — and runs it
+through :func:`simulate`.  :func:`nx_sweep` repeats one scenario across
+asynchrony levels (NX = 0..3), which is the paper's §V evaluation
+method: "All the experiments use the same workload to produce the same
+millibottlenecks, so we can study and compare the impact of
+asynchronous messages".
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from ..metrics.detector import (
 )
 from ..topology.builder import build_system
 from ..topology.configs import SystemConfig
-from ..workload.generators import ClosedLoopPopulation, ScriptedBurst
+from ..workload.generators import ClosedLoopPopulation
 from ..workload.openloop import ArrayOpenLoop
 
-__all__ = ["GraphRunResult", "RunResult", "Scenario", "nx_sweep"]
+__all__ = ["RunResult", "Scenario", "nx_sweep", "simulate"]
 
 #: Severe-consolidation defaults used across the §V experiments: the
 #: antagonist demands one full second of CPU with dominant scheduler
@@ -46,18 +50,24 @@ def _one(obj):
 
 
 class RunResult:
-    """Everything observable from one finished scenario run."""
+    """Everything observable from one finished run (see :func:`simulate`).
 
-    def __init__(self, system, scenario, log, monitor, injectors,
-                 telemetry=None):
+    ``config`` is the system's
+    :class:`~repro.topology.configs.SystemConfig`, or ``None`` for a
+    built service graph; ``scenario`` is the :class:`Scenario` behind
+    the run, set only by :meth:`Scenario.run`.
+    """
+
+    def __init__(self, system, log, monitor, duration, warmup,
+                 injectors=(), telemetry=None):
         self.system = system
-        self.config = system.config
-        self.scenario = scenario
+        self.config = getattr(system, "config", None)
+        self.scenario = None
         self.log = log
         self.monitor = monitor
-        self.injectors = injectors
-        self.duration = scenario.duration
-        self.warmup = scenario.warmup
+        self.injectors = list(injectors)
+        self.duration = duration
+        self.warmup = warmup
         self.names = system.names
         #: the run's :class:`~repro.metrics.live.LiveTelemetry`, or
         #: ``None`` when live mode was off
@@ -239,42 +249,44 @@ class RunResult:
         return attributor.attribute(self.log, overflow, episodes)
 
     def __repr__(self):
+        stack = (repr(self.system) if self.config is None
+                 else f"nx={self.config.nx}")
         return (
-            f"<RunResult nx={self.config.nx} requests={len(self.log)} "
+            f"<RunResult {stack} requests={len(self.log)} "
             f"drops={self.dropped_packets}>"
         )
 
 
-class GraphRunResult(RunResult):
-    """A :class:`RunResult` over a built service graph.
+def simulate(system, duration, warmup=0.0, *, start, monitor=None,
+             live=None):
+    """Run a built ``system`` for ``duration`` simulated seconds and
+    return its :class:`RunResult`: the one lifecycle of a simulated run.
 
-    Graph systems have no :class:`~repro.topology.configs.SystemConfig`
-    or :class:`Scenario` behind them — the workload is attached directly
-    by the experiment — so this subclass carries duration/warmup
-    explicitly and leaves ``config``/``scenario`` as ``None``.  All the
-    analysis (millibottlenecks, CTQO events, per-request attribution
-    with the DAG walk) works unchanged through the shared system
-    surface.
+    In order: declare a streaming log's warm-up; attach ``monitor``
+    (the system's own when ``None``; a given one is started here);
+    attach the configured live telemetry (``live``, else the
+    process-global :func:`repro.metrics.live.configure`); call
+    ``start(monitor, sampler)``, which starts the clients and
+    injectors and returns the injectors; run the simulator; finish the
+    telemetry; and drop the first ``warmup`` seconds from the log.
     """
-
-    def __init__(self, system, log, monitor, duration, warmup,
-                 injectors=(), telemetry=None):
-        self.system = system
-        self.config = getattr(system, "config", None)
-        self.scenario = None
-        self.log = log
-        self.monitor = monitor
-        self.injectors = list(injectors)
-        self.duration = duration
-        self.warmup = warmup
-        self.names = system.names
-        self.telemetry = telemetry
-
-    def __repr__(self):
-        return (
-            f"<GraphRunResult {self.system!r} requests={len(self.log)} "
-            f"drops={self.dropped_packets}>"
-        )
+    log = system.log
+    if log.streaming and warmup:
+        # a streaming log cannot re-filter folded records post-hoc;
+        # declare the warm-up cutoff before the first request
+        log.set_warmup(warmup)
+    monitor = system.attach_monitor() if monitor is None else monitor.start()
+    telemetry, sampler = live_telemetry.attach_configured(
+        system, monitor, live
+    )
+    injectors = start(monitor, sampler)
+    system.sim.run(until=duration)
+    if telemetry is not None:
+        telemetry.finish()
+    if warmup:
+        log = log.after(warmup)
+    return RunResult(system, log, monitor, duration, warmup, injectors,
+                     telemetry)
 
 
 class Scenario:
@@ -311,8 +323,9 @@ class Scenario:
         #: consulted — that is how ``repro run --live`` reaches every
         #: experiment module without changing their signatures
         self.live = live
-        self._injector_specs = []
-        self._scripted_bursts = []
+        #: one ``inject(system, monitor) -> injector`` per ``with_*``
+        #: call, started in declaration order after the clients
+        self._injectors = []
         self._open_loop = None
 
     # ------------------------------------------------------------------
@@ -330,51 +343,53 @@ class Scenario:
         """
         if (times is None) == (period is None):
             raise ValueError("give exactly one of times= or period=")
-        self._injector_specs.append(
-            ("consolidation", dict(tier=tier, times=times, period=period,
-                                   burst_cpu=burst_cpu, burst_jobs=burst_jobs,
-                                   shares=shares, name=name))
-        )
+        extra = {} if name is None else {"name": name}
+
+        def inject(system, monitor):
+            injector = ColocationInjector(
+                system.sim, system.host_of(tier),
+                burst_cpu_seconds=burst_cpu, burst_jobs=burst_jobs,
+                shares=shares, **extra,
+            )
+            if times is not None:
+                injector.scripted(times)
+            else:
+                injector.periodic(period, self.duration)
+            # show the antagonist's CPU alongside the tiers (the
+            # black/pink pair of Fig 3(a))
+            monitor.watch_vm(injector.vm.name, injector.vm)
+            return injector
+
+        self._injectors.append(inject)
         return self
 
     def with_log_flush(self, tier="db", period=30.0, duration=0.35,
                        offset=None):
         """collectl-style periodic I/O freeze of ``tier``'s VM."""
-        self._injector_specs.append(
-            ("logflush", dict(tier=tier, period=period, duration=duration,
-                              offset=offset))
-        )
+        self._injectors.append(lambda system, _monitor: LogFlushInjector(
+            system.sim, _one(system.vms[tier]), period=period,
+            duration=duration, offset=offset,
+        ).start())
         return self
 
     def with_gc_pauses(self, tier="app", period=20.0, min_pause=0.2,
                        max_pause=0.8):
         """Irregular stop-the-world GC pauses on ``tier``'s VM
         (the memory-class millibottleneck of the paper's §II)."""
-        self._injector_specs.append(
-            ("gc", dict(tier=tier, period=period, min_pause=min_pause,
-                        max_pause=max_pause))
-        )
+        self._injectors.append(lambda system, _monitor: GcPauseInjector(
+            system.sim, _one(system.vms[tier]), period=period,
+            min_pause=min_pause, max_pause=max_pause,
+        ).start())
         return self
 
     def with_network_jam(self, tier="app", period=30.0, duration=0.4,
                          offset=None):
         """Transient delivery stalls on the link into ``tier``
         (the network-class millibottleneck)."""
-        self._injector_specs.append(
-            ("netjam", dict(tier=tier, period=period, duration=duration,
-                            offset=offset))
-        )
-        return self
-
-    def with_client_burst(self, times=None, period=None, batch_size=400,
-                          operation="ViewStory"):
-        """Scripted client-side request batches (§V-B style)."""
-        if (times is None) == (period is None):
-            raise ValueError("give exactly one of times= or period=")
-        self._scripted_bursts.append(
-            dict(times=times, period=period, batch_size=batch_size,
-                 operation=operation)
-        )
+        self._injectors.append(lambda system, _monitor: NetworkJamInjector(
+            system.sim, _one(system.servers[tier]).listener, period=period,
+            duration=duration, offset=offset,
+        ).start())
         return self
 
     def with_open_loop(self, rate, distribution="poisson", shape=2.5,
@@ -392,98 +407,29 @@ class Scenario:
 
     # ------------------------------------------------------------------
     def run(self):
-        """Build, run, and package the experiment."""
+        """Build the system and run it through :func:`simulate`: the
+        clients start first, then the injectors in declaration order."""
         system = build_system(self.config, bus=self.bus)
-        sim = system.sim
-        if self.config.streaming and self.warmup:
-            # a streaming log cannot re-filter folded records post-hoc;
-            # declare the warm-up cutoff before the first request
-            system.log.set_warmup(self.warmup)
-        monitor = system.attach_monitor()
 
-        telemetry, sampler = live_telemetry.attach_configured(
-            system, monitor, self.live
-        )
-
-        if self._open_loop is not None:
-            ArrayOpenLoop(
-                sim, system.fabric, system.entry, system.app, system.log,
-                horizon=self.duration, sampler=sampler,
-                **self._open_loop,
-            ).start()
-        else:
-            ClosedLoopPopulation(
-                sim, system.fabric, system.entry, system.app, system.log,
-                clients=self.clients, think_mean=self.think_mean,
-                sampler=sampler,
-            ).start()
-
-        injectors = []
-        for kind, spec in self._injector_specs:
-            if kind == "consolidation":
-                extra = (
-                    {} if spec.get("name") is None
-                    else {"name": spec["name"]}
-                )
-                injector = ColocationInjector(
-                    sim, system.host_of(spec["tier"]),
-                    burst_cpu_seconds=spec["burst_cpu"],
-                    burst_jobs=spec["burst_jobs"],
-                    shares=spec["shares"],
-                    **extra,
-                )
-                if spec["times"] is not None:
-                    injector.scripted(spec["times"])
-                else:
-                    injector.periodic(spec["period"], self.duration)
-                # show the antagonist's CPU alongside the tiers (the
-                # black/pink pair of Fig 3(a))
-                monitor.watch_vm(injector.vm.name, injector.vm)
-            elif kind == "logflush":
-                injector = LogFlushInjector(
-                    sim, _one(system.vms[spec["tier"]]),
-                    period=spec["period"], duration=spec["duration"],
-                    offset=spec["offset"],
+        def start(monitor, sampler):
+            if self._open_loop is not None:
+                ArrayOpenLoop(
+                    system.sim, system.fabric, system.entry, system.app,
+                    system.log, horizon=self.duration, sampler=sampler,
+                    **self._open_loop,
                 ).start()
-            elif kind == "gc":
-                injector = GcPauseInjector(
-                    sim, _one(system.vms[spec["tier"]]),
-                    period=spec["period"], min_pause=spec["min_pause"],
-                    max_pause=spec["max_pause"],
-                ).start()
-            elif kind == "netjam":
-                injector = NetworkJamInjector(
-                    sim, _one(system.servers[spec["tier"]]).listener,
-                    period=spec["period"], duration=spec["duration"],
-                    offset=spec["offset"],
-                ).start()
-            else:  # pragma: no cover - guarded by the with_* methods
-                raise ValueError(f"unknown injector kind {kind!r}")
-            injectors.append(injector)
-
-        for spec in self._scripted_bursts:
-            times = spec["times"]
-            if times is None:
-                burst = ScriptedBurst.periodic(
-                    sim, system.fabric, system.entry, system.app, system.log,
-                    period=spec["period"], until=self.duration,
-                    batch_size=spec["batch_size"], operation=spec["operation"],
-                    sampler=sampler,
-                )
             else:
-                burst = ScriptedBurst(
-                    sim, system.fabric, system.entry, system.app, system.log,
-                    times=times, batch_size=spec["batch_size"],
-                    operation=spec["operation"], sampler=sampler,
-                )
-            burst.start()
+                ClosedLoopPopulation(
+                    system.sim, system.fabric, system.entry, system.app,
+                    system.log, clients=self.clients,
+                    think_mean=self.think_mean, sampler=sampler,
+                ).start()
+            return [inject(system, monitor) for inject in self._injectors]
 
-        sim.run(until=self.duration)
-        if telemetry is not None:
-            telemetry.finish()
-        log = system.log.after(self.warmup) if self.warmup else system.log
-        return RunResult(system, self, log, monitor, injectors,
-                         telemetry=telemetry)
+        result = simulate(system, self.duration, self.warmup, start=start,
+                          live=self.live)
+        result.scenario = self
+        return result
 
 
 def nx_sweep(scenario_factory, levels=(0, 1, 2, 3)):

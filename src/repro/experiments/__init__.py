@@ -17,15 +17,19 @@ scaleout                  extension — balancing/hedging across replicas
 validation                substrate check — simulator vs queueing theory
 cause_variety             §III — CPU/disk/GC/network causes, same CTQO
 headline_utilization      abstract — 43 % sync vs 83 % async claim
+nx_sweep                  §V method — one scenario per NX level
 ========================  =============================================
 
 :data:`~repro.experiments.runner.REGISTRY` is the one list of every
 runnable experiment: ``python -m repro list`` prints it, ``repro run
 NAME`` prints one experiment as text and ``repro run-all`` executes the
-registry through the parallel engine.  Each experiment offers
-``run_experiment(config)``, the engine's uniform entry point, plus the
-interface ``repro run``, ``diagnose`` and ``profile`` drive (``run``,
-``report``, ...; see :mod:`repro.experiments.runner`).
+registry through the parallel engine.  Every experiment offers one
+interface to all of them (see :mod:`repro.experiments.runner`):
+``run(seed=..., duration=..., **params)`` runs it, ``record(result)``
+turns the result into the engine's plain-data record, and ``report``,
+``runs`` and ``single_run`` serve ``repro run``, ``diagnose`` and
+``profile``.  Every simulated run inside goes through
+:func:`repro.core.evaluation.simulate`.
 """
 
 from .runner import (

@@ -47,24 +47,23 @@ read tail collapses while client throughput holds.
 
 from __future__ import annotations
 
-from ..core.evaluation import GraphRunResult
-from ..metrics import live
+from ..core.evaluation import simulate
 from ..metrics.detector import cache_miss_episodes
 from ..servers.policies import RemediationSpec, TierPolicy
 from ..sim.kernel import Simulator
 from ..topology.graph import EdgeSpec, NodeSpec, ServiceGraph, build_graph
 from ..units import ms
 from .report import format_table
-from .runner import variant_single_run
+from .runner import check_variants, variant_single_run
 
 __all__ = [
     "VARIANTS",
     "build_cache_storage",
     "cache_storage_outcomes",
     "check_claims",
+    "record",
     "report",
     "run",
-    "run_experiment",
     "run_one",
     "runs",
     "single_run",
@@ -198,55 +197,46 @@ def _prewarm(cache):
 def run_one(variant, clients=CLIENTS, duration=DURATION, warmup=2.0,
             seed=42, bus=None, streaming=False):
     """Run one cell; returns a dict with the cell's observables."""
-    if variant not in VARIANTS:
-        known = ", ".join(VARIANTS)
-        raise ValueError(f"unknown variant {variant!r}; known: {known}")
+    check_variants([variant], VARIANTS)
     spec = VARIANTS[variant]
     rate = clients / THINK_MEAN
     system = build_cache_storage(variant, seed=seed, bus=bus,
                                  streaming=streaming)
-    sim = system.sim
-    if streaming and warmup:
-        system.log.set_warmup(warmup)
-    monitor = system.attach_monitor()
-    telemetry, sampler = live.attach_configured(system, monitor)
 
-    if spec["family"] == "cache":
-        cache = system.caches["cache"]
-        _prewarm(cache)
-        if spec["storm"]:
-            def storms():
-                last = 0.0
-                for when in STORM_TIMES:
-                    if when >= duration:
-                        break
-                    yield when - last
-                    cache.invalidate_all()
-                    last = when
-            sim.process(storms())
-    else:
-        store = system.storages["store"]
+    def start(_monitor, sampler):
+        sim = system.sim
+        if spec["family"] == "cache":
+            cache = system.caches["cache"]
+            _prewarm(cache)
+            if spec["storm"]:
+                def storms():
+                    last = 0.0
+                    for when in STORM_TIMES:
+                        if when >= duration:
+                            break
+                        yield when - last
+                        cache.invalidate_all()
+                        last = when
+                sim.process(storms())
+        else:
+            store = system.storages["store"]
 
-        def flusher():
-            # closed loop on the ack: an unbounded buffer acks
-            # instantly (the flush is one atomic blast), a bounded one
-            # stalls the ack and paces the flusher at drain rate —
-            # backpressure lands here, not on client requests
-            while True:
-                yield FLUSH_EVERY
-                for _ in range(FLUSH_DEPTH):
-                    yield store.write(1.0)
+            def flusher():
+                # closed loop on the ack: an unbounded buffer acks
+                # instantly (the flush is one atomic blast), a bounded
+                # one stalls the ack and paces the flusher at drain
+                # rate — backpressure lands here, not on client requests
+                while True:
+                    yield FLUSH_EVERY
+                    for _ in range(FLUSH_DEPTH):
+                        yield store.write(1.0)
 
-        sim.process(flusher())
+            sim.process(flusher())
+        system.open_loop(rate, sampler=sampler)
+        return ()
 
-    system.open_loop(rate, sampler=sampler)
-    sim.run(until=duration)
-    if telemetry is not None:
-        telemetry.finish()
-
-    log = system.log.after(warmup) if warmup else system.log
-    result = GraphRunResult(system, log, monitor, duration, warmup,
-                            telemetry=telemetry)
+    result = simulate(system, duration, warmup, start=start)
+    monitor = result.monitor
     summary = result.summary()
     cell = {
         "variant": variant,
@@ -257,6 +247,7 @@ def run_one(variant, clients=CLIENTS, duration=DURATION, warmup=2.0,
         "result": result,
     }
     if spec["family"] == "cache":
+        cache = system.caches["cache"]
         bursts = [
             episode for episode in cache_miss_episodes(
                 monitor.cache_misses["cache"], BURST_MISS_RATE,
@@ -285,6 +276,7 @@ def run_one(variant, clients=CLIENTS, duration=DURATION, warmup=2.0,
             "shed_sites": dict(report.shed_sites()),
         }
     else:
+        store = system.storages["store"]
         cell["storage"] = {
             "reads": store.stats.reads,
             "writes": store.stats.writes,
@@ -302,10 +294,7 @@ def run(clients=CLIENTS, duration=DURATION, warmup=2.0, seed=42,
     Returns ``{variant: cell}`` in :data:`VARIANTS` order.
     """
     names = tuple(variants) if variants is not None else tuple(VARIANTS)
-    for name in names:
-        if name not in VARIANTS:
-            known = ", ".join(VARIANTS)
-            raise ValueError(f"unknown variant {name!r}; known: {known}")
+    check_variants(names, VARIANTS)
     return {
         name: run_one(name, clients=clients, duration=duration,
                       warmup=warmup, seed=seed, streaming=streaming)
@@ -486,16 +475,9 @@ def cache_storage_outcomes(cells):
     return out
 
 
-def run_experiment(config):
-    """Uniform registry entry point (see repro.experiments.runner)."""
-    params = config.params
-    cells = run(
-        clients=int(params.get("clients", CLIENTS)),
-        duration=config.duration or DURATION,
-        seed=config.seed,
-        variants=params.get("variants"),
-        streaming=bool(params.get("streaming", False)),
-    )
+def record(cells):
+    """The registry record of :func:`run`'s cells: each cell without
+    its RunResult, plus the outcomes."""
     strip = ("result", "variant")
     return {
         "cells": {

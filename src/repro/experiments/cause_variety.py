@@ -16,7 +16,7 @@ from ..core.evaluation import Scenario
 from ..topology.configs import SystemConfig
 from .report import format_table
 
-__all__ = ["CAUSES", "report", "run", "run_experiment"]
+__all__ = ["CAUSES", "record", "report", "run"]
 
 CAUSES = ("cpu", "io", "gc", "network")
 
@@ -66,12 +66,8 @@ def run(causes=CAUSES, duration=28.0, seed=42, streaming=False):
     return out
 
 
-def run_experiment(config):
-    """Uniform registry entry point (see repro.experiments.runner)."""
-    causes = tuple(config.params.get("causes", CAUSES))
-    points = run(causes=causes, duration=config.duration or 28.0,
-                 seed=config.seed,
-                 streaming=bool(config.params.get("streaming", False)))
+def record(points):
+    """The registry record of :func:`run`'s points."""
     return {
         "points": {
             f"{cause}/{stack}": point

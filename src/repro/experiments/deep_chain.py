@@ -15,13 +15,13 @@ threshold at lighter millibottlenecks.
 
 from __future__ import annotations
 
-from ..metrics import live
+from ..core.evaluation import simulate
 from ..servers.policies import TierPolicy
 from ..topology.chain import build_chain, uniform_chain
 from ..units import ms
 from .report import format_table
 
-__all__ = ["DEPTHS", "report", "run", "run_experiment", "run_one"]
+__all__ = ["DEPTHS", "record", "report", "run", "run_one"]
 
 #: arrival rate for the open-loop chain client (req/s)
 RATE = 900.0
@@ -50,24 +50,21 @@ def run_one(depth=5, sync=True, duration=30.0, stall_at=12.0, seed=42,
     """One chain run with a freeze-millibottleneck at the deepest tier."""
     system = build_chain(_chain_tiers(depth, sync), seed=seed,
                          streaming=streaming)
-    monitor = system.attach_monitor()
-    telemetry, sampler = live.attach_configured(system, monitor)
-    system.open_loop(RATE, sampler=sampler)
-    deepest = system.vms[-1]
-    system.sim.call_at(stall_at, deepest.freeze, STALL)
-    system.sim.run(until=duration)
-    if telemetry is not None:
-        telemetry.finish()
-    summary = system.log.summary(duration)
+
+    def start(_monitor, sampler):
+        system.open_loop(RATE, sampler=sampler)
+        system.sim.call_at(stall_at, system.vms[-1].freeze, STALL)
+        return ()
+
+    result = simulate(system, duration, start=start)
     return {
-        "system": system,
-        "monitor": monitor,
-        "summary": summary,
+        "summary": result.log.summary(duration),
         "drops": system.drop_counts(),
         "queue_max": {
-            name: int(monitor.queues[name].max()) for name in system.names
+            name: int(result.monitor.queues[name].max())
+            for name in system.names
         },
-        "telemetry": telemetry,
+        "result": result,
     }
 
 
@@ -84,11 +81,8 @@ def run(depths=DEPTHS, duration=30.0, seed=42, streaming=False):
     }
 
 
-def run_experiment(config):
-    """Uniform registry entry point (see repro.experiments.runner)."""
-    sweep = run(depths=tuple(config.params.get("depths", DEPTHS)),
-                duration=config.duration or 30.0, seed=config.seed,
-                streaming=bool(config.params.get("streaming", False)))
+def record(sweep):
+    """The registry record of :func:`run`'s sweep."""
     return {
         f"{depth}-{kind}": {
             "summary": result["summary"],

@@ -47,17 +47,16 @@ the leaf's millibottleneck, with the root's drops classified
 
 from __future__ import annotations
 
-from ..core.evaluation import GraphRunResult
+from ..core.evaluation import simulate
 from ..core.tail import percentiles
 from ..injectors.logflush import LogFlushInjector
-from ..metrics import live
 from ..servers.policies import TierPolicy
 from ..servers.replica import HedgingSpec
 from ..sim.kernel import Simulator
 from ..topology.graph import NodeSpec, build_graph, fan_out
 from ..units import ms
 from .report import format_table
-from .runner import variant_single_run
+from .runner import check_variants, variant_single_run
 
 __all__ = [
     "FANOUTS",
@@ -65,9 +64,9 @@ __all__ = [
     "build_fanout",
     "check_claims",
     "fanout_outcomes",
+    "record",
     "report",
     "run",
-    "run_experiment",
     "run_one",
     "runs",
     "single_run",
@@ -175,52 +174,40 @@ def stalled_leaf(variant):
 def run_one(variant, clients=CLIENTS, n=16, duration=DURATION, warmup=2.0,
             seed=42, stall=True, bus=None, streaming=False):
     """Run one cell; returns a dict with the cell's observables."""
-    if variant not in VARIANTS:
-        known = ", ".join(VARIANTS)
-        raise ValueError(f"unknown variant {variant!r}; known: {known}")
+    check_variants([variant], VARIANTS)
     rate = clients / THINK_MEAN
     system = build_fanout(variant, n, rate, seed=seed, bus=bus,
                           streaming=streaming)
-    sim = system.sim
-    if streaming and warmup:
-        system.log.set_warmup(warmup)
-    monitor = system.attach_monitor()
-    telemetry, sampler = live.attach_configured(system, monitor)
-
-    # pooled per-leg latency samples: every leaf reply's tier sojourn
-    # (accept queueing and retransmissions included), post-warmup; a
-    # server has one observer slot, so this one also feeds live
-    # telemetry's tier observer when that is attached
     leaf_samples = []
-    for name, server in system.server_items():
-        if name == "root":
-            continue
 
-        def observe(sojourn, _sim=sim, _tier=server.latency_observer):
-            if _tier is not None:
-                _tier(sojourn)
-            if _sim.now >= warmup:
-                leaf_samples.append(sojourn)
+    def start(_monitor, sampler):
+        sim = system.sim
+        # pooled per-leg latency samples: every leaf reply's tier
+        # sojourn (accept queueing and retransmissions included),
+        # post-warmup; a server has one observer slot, so this one also
+        # feeds live telemetry's tier observer when that is attached
+        for name, server in system.server_items():
+            if name == "root":
+                continue
 
-        server.latency_observer = observe
+            def observe(sojourn, _sim=sim, _tier=server.latency_observer):
+                if _tier is not None:
+                    _tier(sojourn)
+                if _sim.now >= warmup:
+                    leaf_samples.append(sojourn)
 
-    system.open_loop(rate, sampler=sampler)
-    injectors = []
-    if stall:
-        victim = stalled_leaf(variant)
-        injectors.append(
-            LogFlushInjector(
-                sim, system.vm(victim), period=STALL_PERIOD,
-                duration=STALL_DURATION, offset=STALL_OFFSET,
-            ).start()
-        )
-    sim.run(until=duration)
-    if telemetry is not None:
-        telemetry.finish()
+            server.latency_observer = observe
 
-    log = system.log.after(warmup) if warmup else system.log
-    result = GraphRunResult(system, log, monitor, duration, warmup,
-                            injectors=injectors, telemetry=telemetry)
+        system.open_loop(rate, sampler=sampler)
+        if not stall:
+            return ()
+        return [LogFlushInjector(
+            sim, system.vm(stalled_leaf(variant)), period=STALL_PERIOD,
+            duration=STALL_DURATION, offset=STALL_OFFSET,
+        ).start()]
+
+    result = simulate(system, duration, warmup, start=start)
+    log = result.log
     # the tail-at-scale comparison: parent p99 vs the pooled leaf
     # distribution at quantile 1 − 0.01/N (nearest rank: an actual
     # sample, never interpolation between modes)
@@ -267,10 +254,7 @@ def run(duration=DURATION, warmup=2.0, seed=42, clients=CLIENTS,
     if not fanouts or min(fanouts) < 2:
         raise ValueError(f"fanouts must all be >= 2, got {fanouts!r}")
     names = tuple(variants) if variants is not None else tuple(VARIANTS)
-    for name in names:
-        if name not in VARIANTS:
-            known = ", ".join(VARIANTS)
-            raise ValueError(f"unknown variant {name!r}; known: {known}")
+    check_variants(names, VARIANTS)
     scaling = {
         n: run_one("sync", clients=clients, n=n, duration=duration,
                    warmup=warmup, seed=seed, stall=False,
@@ -438,18 +422,9 @@ def fanout_outcomes(cells):
     return out
 
 
-def run_experiment(config):
-    """Uniform registry entry point (see repro.experiments.runner)."""
-    params = config.params
-    fanouts = params.get("fanouts") or FANOUTS
-    cells = run(
-        duration=config.duration or DURATION,
-        seed=config.seed,
-        clients=int(params.get("clients", CLIENTS)),
-        fanouts=[int(n) for n in fanouts],
-        variants=params.get("variants"),
-        streaming=bool(params.get("streaming", False)),
-    )
+def record(cells):
+    """The registry record of :func:`run`'s cells: each cell without
+    its RunResult, plus the outcomes."""
     strip = ("result", "variant")
     return {
         "scaling": {

@@ -17,8 +17,8 @@ from ..core.evaluation import Scenario
 from ..topology.configs import SystemConfig
 from .report import format_table, histogram_rows
 
-__all__ = ["WORKLOADS", "report", "run", "run_experiment", "run_one",
-           "runs", "single_run"]
+__all__ = ["WORKLOADS", "record", "report", "run", "run_one", "runs",
+           "single_run"]
 
 #: the paper's three workload levels
 WORKLOADS = (4000, 7000, 8000)
@@ -26,10 +26,8 @@ WORKLOADS = (4000, 7000, 8000)
 #: bursts arrive roughly twice per 15 s, as in the §V-B scripted setup
 BURST_PERIOD = 7.0
 
-#: simulated seconds per workload level of ``repro run fig01``
-DURATION = 90.0
-#: ... and of the full-scale record (``repro run-all``, EXPERIMENTS.md)
-RECORD_DURATION = 120.0
+#: simulated seconds per workload level
+DURATION = 120.0
 
 
 def run_one(clients, duration=DURATION, warmup=10.0, seed=42, bus=None,
@@ -71,13 +69,8 @@ def run(duration=DURATION, warmup=10.0, seed=42, workloads=WORKLOADS,
     }
 
 
-def run_experiment(config):
-    """Uniform registry entry point (see repro.experiments.runner)."""
-    workloads = tuple(config.params.get("workloads", WORKLOADS))
-    panels = run(duration=config.duration or RECORD_DURATION,
-                 seed=config.seed,
-                 workloads=workloads,
-                 streaming=bool(config.params.get("streaming", False)))
+def record(panels):
+    """The registry record of :func:`run`'s panels."""
     return {
         "panels": {
             str(clients): {

@@ -12,49 +12,44 @@ ordinary systems, with no scripted millibottlenecks at all.
 
 from __future__ import annotations
 
-from ..metrics import live
+from ..core.evaluation import simulate
 from ..topology.configs import SystemConfig
 from ..topology.consolidation import build_consolidated_pair
 from .report import ascii_timeline, format_table
 
-__all__ = ["report", "run", "run_experiment"]
+__all__ = ["record", "report", "run"]
 
 
-def run(duration=60.0, warmup=5.0, seed=42):
-    """Run the consolidated pair; returns a result dict."""
-    pair = build_consolidated_pair(SystemConfig(nx=0, seed=seed))
-    monitor = pair.attach_monitor()
-    telemetry, sampler = live.attach_configured(pair.steady, monitor)
-    pair.start_workloads(sampler=sampler)
-    pair.sim.run(until=duration)
-    if telemetry is not None:
-        telemetry.finish()
-    log = pair.steady.log.after(warmup)
-    summary = log.summary(duration - warmup)
-    summary["drops_by_server"] = pair.steady.drop_counts()
-    summary["dropped_packets"] = pair.steady.total_drops()
-    burst_times = [
-        t for t, state in pair.bursty_clients.transitions if state == "burst"
-    ]
-    return {
-        "pair": pair,
-        "monitor": monitor,
-        "summary": summary,
-        "burst_times": burst_times,
-        "duration": duration,
-        "telemetry": telemetry,
-    }
-
-
-def run_experiment(config):
-    """Uniform registry entry point (see repro.experiments.runner)."""
-    if config.params.get("streaming"):
+def run(duration=60.0, warmup=5.0, seed=42, streaming=False):
+    """Run the consolidated pair; returns a result dict whose
+    ``"result"`` is SysSteady's :class:`~repro.core.evaluation.RunResult`."""
+    if streaming:
         raise ValueError(
             "fig02 needs the exact per-request log (the emergent-"
             "consolidation analysis reads both coupled systems' full "
             "record lists); run it without streaming"
         )
-    result = run(duration=config.duration or 60.0, seed=config.seed)
+    pair = build_consolidated_pair(SystemConfig(nx=0, seed=seed))
+
+    def start(_monitor, sampler):
+        pair.start_workloads(sampler=sampler)
+        return ()
+
+    result = simulate(pair.steady, duration, warmup, start=start,
+                      monitor=pair.attach_monitor())
+    return {
+        "pair": pair,
+        "result": result,
+        "summary": result.summary(),
+        "burst_times": [
+            t for t, state in pair.bursty_clients.transitions
+            if state == "burst"
+        ],
+    }
+
+
+def record(result):
+    """The registry record of :func:`run`'s result."""
     return {
         "summary": result["summary"],
         "burst_times": list(result["burst_times"]),
@@ -63,7 +58,7 @@ def run_experiment(config):
 
 def report(result):
     pair = result["pair"]
-    monitor = result["monitor"]
+    monitor = result["result"].monitor
     summary = result["summary"]
     names = pair.steady.names
     lines = [

@@ -21,8 +21,7 @@ from ..core.evaluation import Scenario
 from ..topology.configs import SystemConfig
 from .report import format_table
 
-__all__ = ["CONCURRENCY_LEVELS", "report", "run", "run_experiment",
-           "run_point"]
+__all__ = ["CONCURRENCY_LEVELS", "record", "report", "run", "run_point"]
 
 #: the paper's x-axis
 CONCURRENCY_LEVELS = (100, 200, 400, 800, 1600)
@@ -69,12 +68,8 @@ def run(levels=CONCURRENCY_LEVELS, duration=25.0, warmup=5.0, seed=42,
     return out
 
 
-def run_experiment(config):
-    """Uniform registry entry point (see repro.experiments.runner)."""
-    levels = tuple(config.params.get("levels", CONCURRENCY_LEVELS))
-    sweep = run(levels=levels, duration=config.duration or 25.0,
-                seed=config.seed,
-                streaming=bool(config.params.get("streaming", False)))
+def record(sweep):
+    """The registry record of :func:`run`'s sweep."""
     return {
         stack: {str(level): tput for level, tput in points.items()}
         for stack, points in sweep.items()

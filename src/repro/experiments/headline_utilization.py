@@ -17,7 +17,7 @@ from ..core.evaluation import Scenario
 from ..topology.configs import SystemConfig
 from .report import format_table
 
-__all__ = ["WORKLOADS", "report", "run", "run_experiment"]
+__all__ = ["WORKLOADS", "record", "report", "run"]
 
 WORKLOADS = (4000, 5500, 7000, 8000)
 BURST_PERIOD = 7.0
@@ -55,12 +55,8 @@ def run(duration=60.0, warmup=10.0, seed=42, workloads=WORKLOADS,
     return out
 
 
-def run_experiment(config):
-    """Uniform registry entry point (see repro.experiments.runner)."""
-    workloads = tuple(config.params.get("workloads", WORKLOADS))
-    points = run(duration=config.duration or 60.0, seed=config.seed,
-                 workloads=workloads,
-                 streaming=bool(config.params.get("streaming", False)))
+def record(points):
+    """The registry record of :func:`run`'s points."""
     return {
         "points": {
             f"nx{nx}/wl{clients}": point

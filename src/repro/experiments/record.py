@@ -132,9 +132,7 @@ def _timeline_section(lines):
 
 def _fig01_section(lines):
     lines.append("## Fig 1 — multi-modal response-time histograms\n")
-    panels = fig01_histograms.run(
-        duration=fig01_histograms.RECORD_DURATION
-    )
+    panels = fig01_histograms.run()
     lines.append("| Workload | Paper | Measured | Mode clusters |")
     lines.append("|---|---|---|---|")
     paper = {4000: "572 req/s @ 43 %", 7000: "990 req/s @ 75 %",

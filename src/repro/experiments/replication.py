@@ -17,15 +17,15 @@ needs no replicas at all.
 
 from __future__ import annotations
 
+from ..core.evaluation import simulate
 from ..injectors.colocation import ColocationInjector
-from ..metrics import live
 from ..metrics.monitor import SystemMonitor
 from ..topology.builder import build_system
 from ..topology.configs import SystemConfig
 from ..workload.generators import ClosedLoopPopulation
 from .report import format_table
 
-__all__ = ["REPLICAS", "report", "run", "run_experiment", "run_one"]
+__all__ = ["REPLICAS", "record", "report", "run", "run_one"]
 
 #: app-tier replica counts of the sweep (1 = the unreplicated stack)
 REPLICAS = (1, 2, 3)
@@ -46,8 +46,6 @@ def run_one(replicas=2, clients=7000, duration=40.0, warmup=5.0,
     system = build_system(SystemConfig(nx=0, seed=seed, streaming=streaming,
                                        app_replicas=replicas))
     sim = system.sim
-    if streaming:
-        system.log.set_warmup(warmup)
     app_names = system.graph.node("app").replica_names
     vms = dict(system.vm_items())
     monitor = SystemMonitor(sim)
@@ -56,33 +54,30 @@ def run_one(replicas=2, clients=7000, duration=40.0, warmup=5.0,
         if name in app_names:
             monitor.watch_vm(name, vms[name])
     monitor.watch_log("clients", system.log)
-    monitor.start()
-    telemetry, sampler = live.attach_configured(system, monitor)
 
-    ClosedLoopPopulation(
-        sim, system.fabric, system.entry, system.app, system.log,
-        clients=clients, think_mean=7.0, sampler=sampler,
-    ).start()
-    injector = ColocationInjector(
-        sim, vms[app_names[0]].host, shares=30.0,
-        burst_cpu_seconds=1.0, burst_jobs=400,
-    )
-    injector.scripted(list(burst_times))
-    sim.run(until=duration)
-    if telemetry is not None:
-        telemetry.finish()
+    def start(_monitor, sampler):
+        ClosedLoopPopulation(
+            sim, system.fabric, system.entry, system.app, system.log,
+            clients=clients, think_mean=7.0, sampler=sampler,
+        ).start()
+        injector = ColocationInjector(
+            sim, vms[app_names[0]].host, shares=30.0,
+            burst_cpu_seconds=1.0, burst_jobs=400,
+        )
+        injector.scripted(list(burst_times))
+        return [injector]
 
-    log = system.log.after(warmup)
+    result = simulate(system, duration, warmup, start=start,
+                      monitor=monitor)
     return {
         "replicas": replicas,
-        "summary": log.summary(duration - warmup),
+        "summary": result.log.summary(result.measured_duration),
         "drops": system.drop_counts(),
         "queue_max": {
             name: int(series.max())
             for name, series in monitor.queues.items()
         },
-        "monitor": monitor,
-        "telemetry": telemetry,
+        "result": result,
     }
 
 
@@ -93,11 +88,8 @@ def run(replicas=REPLICAS, duration=40.0, seed=42, streaming=False):
             for count in replicas]
 
 
-def run_experiment(config):
-    """Uniform registry entry point (see repro.experiments.runner)."""
-    results = run(replicas=tuple(config.params.get("replicas", REPLICAS)),
-                  duration=config.duration or 40.0, seed=config.seed,
-                  streaming=bool(config.params.get("streaming", False)))
+def record(results):
+    """The registry record of :func:`run`'s sweep."""
     return {
         str(result["replicas"]): {
             "summary": result["summary"],

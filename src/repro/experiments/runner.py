@@ -2,26 +2,32 @@
 
 :data:`REGISTRY` is the one declaration of every experiment: a new
 experiment is its module plus one entry here, and a new timeline figure
-is one row of :data:`~repro.experiments.timeline.TIMELINES`.  Every
-experiment exposes a uniform ``run_experiment(config)`` entry point
-returning a plain-data *record* (nested dicts / lists / scalars —
-nothing simulation-bound); :func:`expand_jobs` turns registry names
-into concrete :class:`JobConfig` jobs (variants × seeds); :func:`run_jobs`
-executes a job list either serially in-process or fanned across a pool
-of worker processes with per-job timeout and crash retry.
+is one row of :data:`~repro.experiments.timeline.TIMELINES`.
+:func:`expand_jobs` turns registry names into concrete
+:class:`JobConfig` jobs (variants × seeds); :func:`execute_job` runs one
+job through its experiment's ``run`` and ``record``, which turns the
+result into a plain-data *record* (nested dicts / lists / scalars —
+nothing simulation-bound); :func:`run_jobs` executes a job list either
+serially in-process or fanned across a pool of worker processes with
+per-job timeout and crash retry.
 
 Experiment interface
 --------------------
-``repro run``, ``repro diagnose`` and ``repro profile`` drive the object
-:func:`experiment` returns for a registry name — the experiment's
-module, or a timeline figure's table row — through:
+``repro run-all``, ``repro run``, ``repro diagnose`` and ``repro
+profile`` drive the object :func:`experiment` returns for a registry
+name — the experiment's module, or a timeline figure's table row —
+through:
 
-``run(duration=..., streaming=..., **quick)``
-    the whole experiment at its own scale; the registry's ``quick``
-    params are keywords of it.  An entry without ``run`` (``nx_sweep``)
-    runs only under ``repro run-all``.
+``run(seed=..., duration=..., streaming=..., **params)``
+    the whole experiment, at its own scale unless told otherwise; a
+    job's params (the registry's ``quick`` params and its variant) are
+    keywords of it.
+``record(result)``
+    the plain-data record of a ``run`` result (``repro run-all``).
 ``report(result)``, ``check_claims(result)`` (optional)
-    the printed figure and its failed claims (non-empty: exit 1).
+    the printed figure and its failed claims (non-empty: exit 1).  An
+    entry without ``report`` (``nx_sweep``) runs only under ``repro
+    run-all``.
 ``runs(result)``, ``single_run(variant=..., clients=..., duration=...)``
     only an experiment whose cells keep a
     :class:`~repro.core.evaluation.RunResult` (its *single runs*) has
@@ -29,7 +35,8 @@ module, or a timeline figure's table row — through:
     ``--diagnose``); ``single_run`` returns ``(heading, simulate)`` for
     the one representative cell, where ``simulate(bus=None)`` runs it
     and returns its RunResult (``repro diagnose``, ``repro profile``).
-    An unknown variant raises ``ValueError`` before anything runs.
+    An unknown variant raises ``ValueError`` (:func:`check_variants`)
+    before anything runs.
 
 Determinism contract
 --------------------
@@ -68,6 +75,7 @@ __all__ = [
     "RunReport",
     "STREAMING_UNSUPPORTED",
     "canonical",
+    "check_variants",
     "derive_seed",
     "execute_job",
     "expand_jobs",
@@ -95,18 +103,17 @@ NX_LEVELS = (0, 1, 2, 3)
 class ExperimentSpec:
     """One registry entry: where to find the experiment and how to scale it.
 
-    ``entry`` is a dotted ``"module:function"`` path resolved inside the
-    worker process (strings travel through pickling trivially, and the
-    same spec works under fork and spawn start methods).  ``quick``
-    holds parameter overrides for fast runs; a ``"duration"`` key there
-    becomes :attr:`JobConfig.duration`, the rest merge into
+    ``module`` names the experiment's module in this package (a timeline
+    figure's is ``"timeline"``; :func:`experiment` resolves both).
+    ``quick`` holds parameter overrides for fast runs; a ``"duration"``
+    key there becomes :attr:`JobConfig.duration`, the rest merge into
     :attr:`JobConfig.params`.  ``variants`` expands one registry name
     into several jobs (e.g. fig07's MySQL variant, the NX sweep).
     ``description`` is the one line ``repro list`` prints.
     """
 
     name: str
-    entry: str
+    module: str
     description: str
     quick: dict = field(default_factory=dict)
     variants: tuple = ({},)
@@ -118,8 +125,10 @@ class JobConfig:
 
     ``attempt`` is set by the engine on retries (0 on the first try) so
     deliberately flaky self-test jobs can change behaviour per attempt;
-    it is excluded from :func:`job_id` and from the record.  ``entry``
-    overrides the registry lookup (used by the engine's own tests).
+    it is excluded from :func:`job_id` and from the record.  ``entry``,
+    a ``"module:function"`` path called with the job, replaces the
+    registry experiment (the engine's own tests reach
+    :mod:`repro.experiments._selftest` through it).
     """
 
     name: str
@@ -181,96 +190,67 @@ def canonical(obj):
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-def _spec(name, module, description, quick=None, variants=({},), entry=None):
-    return ExperimentSpec(
-        name=name,
-        entry=entry or f"repro.experiments.{module}:run_experiment",
-        description=description,
-        quick=quick or {},
-        variants=variants,
-    )
-
-
 #: every reproducible experiment, in the paper's presentation order
 REGISTRY = {
     spec.name: spec
     for spec in (
-        _spec("fig01", "fig01_histograms",
-              "multi-modal response-time histograms",
-              quick={"duration": 18.0, "workloads": [4000, 7000]}),
-        _spec("fig02", "fig02_full_sysbursty",
-              "emergent two-system consolidation (full fidelity)",
-              quick={"duration": 16.0}),
+        ExperimentSpec("fig01", "fig01_histograms",
+                       "multi-modal response-time histograms",
+                       quick={"duration": 18.0, "workloads": [4000, 7000]}),
+        ExperimentSpec("fig02", "fig02_full_sysbursty",
+                       "emergent two-system consolidation (full fidelity)",
+                       quick={"duration": 16.0}),
         *(
-            _spec(name, "timeline", row.title, quick={"duration": 18.0},
-                  variants=({},) + tuple({"variant": variant}
-                                         for variant in row.variants))
+            ExperimentSpec(name, "timeline", row.title,
+                           quick={"duration": 18.0},
+                           variants=({},) + tuple({"variant": variant}
+                                                  for variant in row.variants))
             for name, row in TIMELINES.items()
         ),
-        _spec("fig12", "fig12_throughput",
-              "2000-thread sync vs async throughput",
-              quick={"duration": 9.0, "levels": [100, 1600]}),
-        _spec("headline", "headline_utilization",
-              "the abstract's 43% vs 83% utilization claim",
-              quick={"duration": 14.0, "workloads": [7000]}),
-        _spec("deep_chain", "deep_chain",
-              "multi-hop CTQO in 4/5-tier chains",
-              quick={"duration": 16.0, "depths": [3, 5]}),
-        _spec("replication", "replication",
-              "replicas dilute but keep CTQO",
-              quick={"duration": 18.0, "replicas": [2]}),
-        _spec("scaleout", "scaleout",
-              "balancing and hedging across replicated tiers at WL 7000",
-              quick={"duration": 20.0}),
-        _spec("validation", "validation",
-              "simulator vs closed-form queueing theory",
-              quick={"duration": 12.0, "workloads": [2000, 7000]}),
-        _spec("policy_matrix", "policy_matrix",
-              "admission x concurrency x remediation hybrids at WL 7000",
-              quick={"duration": 16.0}),
-        _spec("cause_variety", "cause_variety",
-              "CPU/disk/GC/network causes, same CTQO",
-              quick={"duration": 12.0, "causes": ["cpu", "io"]}),
-        _spec("fanout", "fanout",
-              "1xN fan-out DAG: tail at scale + lateral CTQO",
-              quick={"duration": 8.0, "clients": 3000,
-                     "fanouts": [4, 16]}),
-        _spec("cache_storage", "cache_storage",
-              "cache-miss storms and write-back bufferbloat",
-              # the storm schedule needs the full window; quick mode
-              # trims the variant grid instead of the duration
-              quick={"duration": 16.0,
-                     "variants": ["baseline", "storm", "bufferbloat"]}),
-        _spec("nx_sweep", "runner",
-              "one consolidation scenario per asynchrony level",
-              quick={"duration": 14.0},
-              variants=tuple({"nx": nx} for nx in NX_LEVELS),
-              entry="repro.experiments.runner:run_nx_point"),
+        ExperimentSpec("fig12", "fig12_throughput",
+                       "2000-thread sync vs async throughput",
+                       quick={"duration": 9.0, "levels": [100, 1600]}),
+        ExperimentSpec("headline", "headline_utilization",
+                       "the abstract's 43% vs 83% utilization claim",
+                       quick={"duration": 14.0, "workloads": [7000]}),
+        ExperimentSpec("deep_chain", "deep_chain",
+                       "multi-hop CTQO in 4/5-tier chains",
+                       quick={"duration": 16.0, "depths": [3, 5]}),
+        ExperimentSpec("replication", "replication",
+                       "replicas dilute but keep CTQO",
+                       quick={"duration": 18.0, "replicas": [2]}),
+        ExperimentSpec("scaleout", "scaleout",
+                       "balancing and hedging across replicated tiers at "
+                       "WL 7000",
+                       quick={"duration": 20.0}),
+        ExperimentSpec("validation", "validation",
+                       "simulator vs closed-form queueing theory",
+                       quick={"duration": 12.0, "workloads": [2000, 7000]}),
+        ExperimentSpec("policy_matrix", "policy_matrix",
+                       "admission x concurrency x remediation hybrids at "
+                       "WL 7000",
+                       quick={"duration": 16.0}),
+        ExperimentSpec("cause_variety", "cause_variety",
+                       "CPU/disk/GC/network causes, same CTQO",
+                       quick={"duration": 12.0, "causes": ["cpu", "io"]}),
+        ExperimentSpec("fanout", "fanout",
+                       "1xN fan-out DAG: tail at scale + lateral CTQO",
+                       quick={"duration": 8.0, "clients": 3000,
+                              "fanouts": [4, 16]}),
+        ExperimentSpec("cache_storage", "cache_storage",
+                       "cache-miss storms and write-back bufferbloat",
+                       # the storm schedule needs the full window; quick
+                       # mode trims the variant grid instead of the
+                       # duration
+                       quick={"duration": 16.0,
+                              "variants": ["baseline", "storm",
+                                           "bufferbloat"]}),
+        ExperimentSpec("nx_sweep", "nx_sweep",
+                       "one consolidation scenario per asynchrony level",
+                       quick={"duration": 14.0},
+                       variants=tuple({"nx": nx} for nx in NX_LEVELS)),
     )
 }
-
-
-def run_nx_point(config):
-    """Registry entry for the NX parameter sweep (one job per level)."""
-    from ..core.evaluation import Scenario
-    from ..topology.configs import SystemConfig
-
-    nx = int(config.params.get("nx", 0))
-    clients = int(config.params.get("clients", 7000))
-    streaming = bool(config.params.get("streaming", False))
-    duration = config.duration or 30.0
-    scenario = Scenario(
-        SystemConfig(nx=nx, seed=config.seed, streaming=streaming),
-        clients=clients,
-        duration=duration, warmup=5.0,
-    ).with_consolidation("app", times=[12.0, 19.0])
-    result = scenario.run()
-    return {
-        "nx": nx,
-        "summary": result.summary(),
-        "queue_max": result.queue_max(),
-        "highest_avg_cpu": result.highest_avg_cpu(),
-    }
 
 
 def _lookup(name):
@@ -284,30 +264,39 @@ def _lookup(name):
 def experiment(name):
     """The object behind registry entry ``name`` (see *Experiment
     interface* above): a timeline figure's row of
-    :data:`~repro.experiments.timeline.TIMELINES`, else the module of
-    the entry point."""
+    :data:`~repro.experiments.timeline.TIMELINES`, else the
+    experiment's module."""
     spec = _lookup(name)
     if name in TIMELINES:
         return TIMELINES[name]
-    return importlib.import_module(spec.entry.partition(":")[0])
+    return importlib.import_module(f"{__package__}.{spec.module}")
 
 
 def names_with(attribute):
     """Registry names, in order, whose experiment has ``attribute``:
-    ``"run"`` for ``repro run``/``repro profile``, ``"single_run"`` for
-    the experiments with single runs (``--out``, ``--diagnose``,
+    ``"report"`` for ``repro run``/``repro profile``, ``"single_run"``
+    for the experiments with single runs (``--out``, ``--diagnose``,
     ``repro diagnose``)."""
     return [name for name in REGISTRY
             if hasattr(experiment(name), attribute)]
+
+
+def check_variants(names, variants):
+    """The one check of variant names: raise ``ValueError`` for the
+    first of ``names`` that is not a key of ``variants``, naming the
+    valid ones.  Every experiment with named variants calls it before
+    it builds anything."""
+    for name in names:
+        if name not in variants:
+            raise ValueError(f"unknown variant {name!r}; valid variants: "
+                             + ", ".join(variants))
 
 
 def variant_single_run(run_one, variants, variant, clients, duration):
     """``single_run()`` of an experiment with named ``variants`` whose
     ``run_one(variant, clients=, duration=, bus=)`` returns a dict cell
     keeping its RunResult under ``"result"``."""
-    if variant not in variants:
-        raise ValueError(f"unknown variant {variant!r}; valid variants: "
-                         + ", ".join(sorted(variants)))
+    check_variants([variant], variants)
 
     def simulate(bus=None):
         return run_one(variant, clients=clients, duration=duration,
@@ -344,13 +333,14 @@ def expand_jobs(names=None, seeds=1, base_seed=DEFAULT_SEED, quick=False):
 # ----------------------------------------------------------------------
 def _resolve_entry(path):
     module_name, _, attr = path.partition(":")
-    module = importlib.import_module(module_name)
-    return getattr(module, attr or "run_experiment")
+    return getattr(importlib.import_module(module_name), attr)
 
 
 def execute_job(config):
     """Run one job in the current process; return its canonical record.
 
+    The payload is the experiment's ``record`` of its ``run`` with the
+    job's seed, params and, when the job has one, duration.
     ``params["live"]`` — a dict of :func:`repro.metrics.live.configure`
     keywords plus an optional ``"out"`` JSONL path — turns on live
     telemetry *around* the job and is stripped before anything reaches
@@ -362,9 +352,6 @@ def execute_job(config):
         params = dict(config.params)
         params.pop("live")
         config = replace(config, params=params)
-    entry = config.entry
-    if entry is None:
-        entry = _lookup(config.name).entry
     owned_sink = None
     if live_spec is not None:
         from ..metrics import live as live_mode
@@ -381,7 +368,14 @@ def execute_job(config):
             sink = sys.stderr
         live_mode.configure(sink=sink, label=job_id(config), **spec)
     try:
-        payload = _resolve_entry(entry)(config)
+        if config.entry is None:
+            runnable = experiment(config.name)
+            options = dict(config.params, seed=config.seed)
+            if config.duration is not None:
+                options["duration"] = config.duration
+            payload = runnable.record(runnable.run(**options))
+        else:
+            payload = _resolve_entry(config.entry)(config)
     finally:
         if live_spec is not None:
             live_mode.reset()

@@ -49,7 +49,7 @@ from ..core.evaluation import Scenario
 from ..servers.replica import HedgingSpec
 from ..topology.configs import SystemConfig
 from .report import format_table
-from .runner import variant_single_run
+from .runner import check_variants, variant_single_run
 
 __all__ = [
     "VARIANTS",
@@ -57,9 +57,9 @@ __all__ = [
     "build_scenario",
     "single_run",
     "check_claims",
+    "record",
     "report",
     "run",
-    "run_experiment",
     "run_one",
     "runs",
     "scaleout_outcomes",
@@ -145,6 +145,7 @@ def build_scenario(variant, clients=CLIENTS, duration=DURATION, warmup=5.0,
 def run_one(variant, clients=CLIENTS, duration=DURATION, warmup=5.0,
             seed=42, bus=None, streaming=False):
     """Run one regime; returns a dict with the cell's observables."""
+    check_variants([variant], VARIANTS)
     result = build_scenario(
         variant, clients=clients, duration=duration, warmup=warmup,
         seed=seed, bus=bus, streaming=streaming,
@@ -175,10 +176,7 @@ def run(duration=DURATION, warmup=5.0, seed=42, clients=CLIENTS,
         variants=None, streaming=False):
     """All requested regimes; returns ``{variant: cell_dict}``."""
     names = tuple(variants) if variants is not None else tuple(VARIANTS)
-    for name in names:
-        if name not in VARIANTS:
-            known = ", ".join(VARIANTS)
-            raise ValueError(f"unknown variant {name!r}; known: {known}")
+    check_variants(names, VARIANTS)
     return {
         name: run_one(name, clients=clients, duration=duration,
                       warmup=warmup, seed=seed, streaming=streaming)
@@ -324,16 +322,9 @@ def attribution_coverage(cells):
     return (complete / tail) if tail else 1.0
 
 
-def run_experiment(config):
-    """Uniform registry entry point (see repro.experiments.runner)."""
-    variants = config.params.get("variants")
-    cells = run(
-        duration=config.duration or DURATION,
-        seed=config.seed,
-        clients=int(config.params.get("clients", CLIENTS)),
-        variants=variants,
-        streaming=bool(config.params.get("streaming", False)),
-    )
+def record(cells):
+    """The registry record of :func:`run`'s cells: each cell without
+    its RunResult, plus the outcomes and the pooled coverage."""
     return {
         "cells": {
             name: {

@@ -9,10 +9,10 @@ different configuration:
 
 :data:`TIMELINES` holds each figure's :class:`TimelineSpec`, keyed by
 its registry name, so a new timeline figure is one more row.
-:meth:`TimelineSpec.run` executes a spec and returns a
-:class:`TimelineResult` that knows how to check the figure's headline
-claims and render the three panels as text; :func:`run_experiment` is
-the registry entry point of every row.
+:meth:`TimelineSpec.run` executes a row (or one of its variants) and
+returns a :class:`TimelineResult` that knows how to check the figure's
+headline claims and render the three panels as text;
+:meth:`TimelineSpec.record` turns it into the row's registry record.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ..core.evaluation import Scenario
 from ..topology.configs import SystemConfig
 from .report import ascii_timeline, format_table
 
-__all__ = ["TIMELINES", "TimelineResult", "TimelineSpec", "run_experiment"]
+__all__ = ["TIMELINES", "TimelineResult", "TimelineSpec"]
 
 #: burst instants used by the consolidation timelines (a 45 s run),
 #: mirroring the paper's irregular marks (e.g. 2/5/9/15 s in Fig 3).
@@ -59,7 +59,7 @@ class TimelineSpec:
     #: the paper's claim, as EXPERIMENTS.md quotes it
     claim: str = ""
     #: named variants, each run as one more registry job of this row
-    #: (``params["variant"]``)
+    #: (``run(variant=...)``)
     variants: dict = field(default_factory=dict)
 
     def build_config(self):
@@ -93,8 +93,9 @@ class TimelineSpec:
         return self.variants[name]
 
     def run(self, duration=None, clients=None, seed=None, bus=None,
-            streaming=False):
-        """Execute the spec (optionally rescaled) and wrap the result.
+            streaming=False, variant=None):
+        """Execute the row, or its named ``variant``, optionally
+        rescaled, and wrap the result.
 
         ``bus`` (an :class:`~repro.sim.instrument.EventBus`) switches the
         instrumentation hooks on for this run; ``None`` (the default)
@@ -104,7 +105,8 @@ class TimelineSpec:
         unchanged — they only need counters, monitors, and the
         exactly-retained VLRT records.
         """
-        spec = self.scaled(duration=duration, clients=clients, seed=seed)
+        spec = self.variant(variant).scaled(duration=duration,
+                                            clients=clients, seed=seed)
         config = spec.build_config()
         if streaming:
             config = replace(config, streaming=True)
@@ -127,6 +129,16 @@ class TimelineSpec:
         return TimelineResult(spec, scenario.run())
 
     # the experiment interface of a row ----------------------------------
+    @staticmethod
+    def record(result):
+        """The registry record of one run of the row or a variant."""
+        return {
+            "figure": result.spec.figure,
+            "summary": result.summary(),
+            "queue_max": result.run.queue_max(),
+            "claim_failures": result.check_claims(),
+        }
+
     @staticmethod
     def report(result):
         return result.report()
@@ -286,24 +298,6 @@ class TimelineResult:
         else:
             lines.append("CLAIM CHECK: ok — drop sites match the paper")
         return "\n".join(lines)
-
-
-def run_experiment(config):
-    """Uniform registry entry point of every row (see
-    :mod:`repro.experiments.runner`): ``config.name`` picks the row,
-    ``params["variant"]`` one of its :attr:`TimelineSpec.variants`."""
-    spec = TIMELINES[config.name].variant(config.params.get("variant"))
-    result = spec.run(
-        duration=config.duration, clients=config.params.get("clients"),
-        seed=config.seed,
-        streaming=bool(config.params.get("streaming", False)),
-    )
-    return {
-        "figure": spec.figure,
-        "summary": result.summary(),
-        "queue_max": result.run.queue_max(),
-        "claim_failures": result.check_claims(),
-    }
 
 
 #: every timeline figure, keyed by its registry name, in the paper's

@@ -22,7 +22,7 @@ from ..core.queueing import SteadyStateModel
 from ..topology.configs import SystemConfig
 from .report import format_table
 
-__all__ = ["WORKLOADS", "check_claims", "report", "run", "run_experiment"]
+__all__ = ["WORKLOADS", "check_claims", "record", "report", "run"]
 
 WORKLOADS = (2000, 4000, 7000, 8000)
 
@@ -53,12 +53,8 @@ def run(workloads=WORKLOADS, duration=40.0, warmup=8.0, seed=42,
             for c in workloads]
 
 
-def run_experiment(config):
-    """Uniform registry entry point (see repro.experiments.runner)."""
-    workloads = tuple(config.params.get("workloads", WORKLOADS))
-    points = run(workloads=workloads, duration=config.duration or 40.0,
-                 seed=config.seed,
-                 streaming=bool(config.params.get("streaming", False)))
+def record(points):
+    """The registry record of :func:`run`'s points."""
     return {"points": {str(point["clients"]): point for point in points}}
 
 

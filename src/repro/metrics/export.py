@@ -105,8 +105,8 @@ def run_summary_to_json(path, result):
                 servers[name].max_sys_q_depth
             )
     else:
-        # graph experiments carry no chain SystemConfig (see
-        # GraphRunResult): echo just the stack
+        # a run of a built service graph carries no SystemConfig (see
+        # RunResult.config): echo just the stack
         config_echo = {"stack": result.names}
     payload = {
         "config": config_echo,

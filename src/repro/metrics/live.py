@@ -31,10 +31,10 @@ Process-level configuration
 ---------------------------
 ``configure()`` installs a process-global :class:`LiveConfig` that
 every run picks up through :func:`attach_configured` — called by
-:class:`~repro.core.evaluation.Scenario` and by each experiment that
-builds its own system — the hand-off that lets ``repro run --live``
-and ``repro run-all --live`` reach every experiment without threading a
-parameter through the ``run_experiment`` signatures.  ``reset()``
+:func:`repro.core.evaluation.simulate`, the one lifecycle of every
+simulated run — the hand-off that lets ``repro run --live`` and
+``repro run-all --live`` reach every experiment without threading a
+parameter through the experiments' ``run`` signatures.  ``reset()``
 clears it; both are cheap and idempotent.
 """
 
@@ -116,9 +116,10 @@ def attach_configured(system, monitor, config=None):
     :func:`configure`) and attaches it to ``system`` and its
     ``monitor``.  Returns ``(telemetry, sampler)``: the attached
     :class:`LiveTelemetry` and its trace sampler, each ``None`` when
-    live mode (or sampling) is off.  Every run that builds its own
-    system calls this before ``sim.run``, hands ``sampler`` to its
-    client and calls ``telemetry.finish()`` after the run.
+    live mode (or sampling) is off.
+    :func:`repro.core.evaluation.simulate` calls this before
+    ``sim.run``, hands ``sampler`` to the run's clients and calls
+    ``telemetry.finish()`` after the run.
     """
     config = _active if config is None else config
     if config is None:

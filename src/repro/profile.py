@@ -89,7 +89,7 @@ def list_targets():
     """Every name ``repro profile`` accepts."""
     from .experiments import runner
 
-    return runner.names_with("run") + sorted(_bench_targets())
+    return runner.names_with("report") + sorted(_bench_targets())
 
 
 def add_arguments(parser):

@@ -125,20 +125,24 @@ def test_every_listed_experiment_resolves_to_a_profile_target():
     benches = {name for name, _workload, _repeats in bench.BENCHMARKS}
     experiments = [name for name in profile.list_targets()
                    if name not in benches]
-    assert experiments == runner.names_with("run")
+    assert experiments == runner.names_with("report")
     for name in experiments:
         for quick in (True, False):
             assert callable(profile._experiment_target(name, quick)), name
 
 
 def test_registry_quick_params_are_keywords_of_run():
-    """``profile --quick`` passes an experiment's registry quick params
-    to its ``run`` (or the quick duration to its single run)."""
+    """``profile --quick`` and ``run-all`` pass an experiment's registry
+    quick params and variant params to its ``run`` (``run-all`` adds the
+    seed; ``profile`` passes the quick duration to a single run)."""
     import inspect
 
-    for name in runner.names_with("run"):
+    for name, spec in runner.REGISTRY.items():
         parameters = inspect.signature(runner.experiment(name).run).parameters
-        assert set(runner.REGISTRY[name].quick) <= set(parameters), name
+        keys = set(spec.quick) | {"seed"}
+        for variant in spec.variants:
+            keys |= set(variant)
+        assert keys <= set(parameters), name
 
 
 def test_profile_rejects_unknown_target(capsys):

@@ -1,5 +1,7 @@
 """Tests for the scenario runner and NX sweep (repro.core.evaluation)."""
 
+import ast
+
 import pytest
 
 from repro.core import Scenario, nx_sweep
@@ -88,18 +90,6 @@ def test_log_flush_scenario():
     assert result.injectors[0].flush_times == [3.0, 7.0]
     iowait = result.iowait_series("db")
     assert iowait.max() == pytest.approx(1.0)
-
-
-def test_client_burst_scenario():
-    result = (
-        tiny_scenario()
-        .with_client_burst(times=[5.0], batch_size=10,
-                           operation="ViewStory")
-        .run()
-    )
-    bursty = [r for r in result.log.records
-              if r.kind == "ViewStory" and abs(r.start - 5.0) < 1e-6]
-    assert len(bursty) == 10
 
 
 def test_run_result_accessors():
@@ -196,3 +186,45 @@ def test_network_jam_scenario_wiring():
     injector = result.injectors[0]
     assert injector.jam_times == [3.0, 7.0]
     assert injector.held_packets == 0  # all released by the end
+
+
+def _lifecycle_step(call):
+    """The name of the run-lifecycle step ``call`` performs, if any:
+    running the simulator to a horizon, attaching the configured live
+    telemetry, or finishing it."""
+    func = call.func
+    name = func.attr if hasattr(func, "attr") else getattr(func, "id", "")
+    if name == "run" and any(k.arg == "until" for k in call.keywords):
+        return "run(until=)"
+    if name == "attach_configured":
+        return name
+    if name == "finish" and "telemetry" in ast.unparse(func):
+        return "telemetry.finish()"
+    return None
+
+
+def test_simulate_is_the_only_run_lifecycle():
+    """In the entry layer (``repro.core``, ``repro.experiments``) only
+    :func:`~repro.core.evaluation.simulate` runs a simulator to its
+    horizon, attaches the configured live telemetry or finishes it:
+    every simulated run takes the one lifecycle."""
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    steps = {}
+    for package in ("core", "experiments"):
+        for path in sorted((root / package).glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for func in ast.walk(tree):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and _lifecycle_step(node):
+                        steps.setdefault(
+                            f"{package}/{path.name}:{func.name}", set()
+                        ).add(_lifecycle_step(node))
+    assert steps == {"core/evaluation.py:simulate": {
+        "run(until=)", "attach_configured", "telemetry.finish()",
+    }}

@@ -63,12 +63,9 @@ def test_small_scale_run_holds_every_claim():
 
 
 @pytest.mark.slow
-def test_run_experiment_payload_is_plain_data():
-    from repro.experiments.runner import JobConfig
-
-    record = fanout.run_experiment(JobConfig(
-        name="fanout", seed=42, duration=8.0,
-        params={"clients": 2000, "fanouts": [4], "variants": ["sync"]},
+def test_record_payload_is_plain_data():
+    record = fanout.record(fanout.run(
+        seed=42, duration=8.0, clients=2000, fanouts=[4], variants=["sync"],
     ))
     assert set(record) == {"scaling", "stall", "outcomes"}
     for cell in (*record["scaling"].values(), *record["stall"].values()):

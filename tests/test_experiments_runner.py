@@ -44,10 +44,64 @@ def test_registry_covers_every_experiment_module():
 
 
 def test_registry_entries_resolve_to_callables():
-    from repro.experiments.runner import _resolve_entry
+    """Every registry name resolves to an experiment that ``execute_job``
+    can drive: its ``run``, then its ``record``."""
+    from repro.experiments.runner import experiment
 
-    for spec in REGISTRY.values():
-        assert callable(_resolve_entry(spec.entry)), spec.name
+    for name in REGISTRY:
+        runnable = experiment(name)
+        assert callable(runnable.run), name
+        assert callable(runnable.record), name
+
+
+def test_execute_job_runs_then_records(monkeypatch):
+    """A registry job is its experiment's ``run`` with the job's seed,
+    params and (only when it has one) duration, then ``record`` of the
+    result."""
+    from repro.experiments.runner import experiment
+
+    calls = []
+    row = experiment("fig07")
+    monkeypatch.setattr(row, "run", lambda **options: options)
+    monkeypatch.setattr(row, "record",
+                        lambda result: calls.append(result) or {"ok": 1})
+    rec = execute_job(JobConfig(name="fig07", seed=9,
+                                params={"variant": "mysql"}))
+    assert calls == [{"variant": "mysql", "seed": 9}]
+    assert rec["payload"] == {"ok": 1}
+    execute_job(JobConfig(name="fig07", seed=9, duration=3.0))
+    assert calls[-1] == {"seed": 9, "duration": 3.0}
+
+
+#: the experiments with named variants, and how each is asked for one
+_VARIANT_CALLS = {
+    "run_one": lambda module: module.run_one("bogus"),
+    "run": lambda module: module.run(variants=["bogus"]),
+    "single_run": lambda module: module.single_run(variant="bogus"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_VARIANT_CALLS))
+@pytest.mark.parametrize("name", ["cache_storage", "fanout",
+                                  "policy_matrix", "scaleout"])
+def test_unknown_variant_fails_one_way_before_building(name, call,
+                                                       monkeypatch):
+    """An unknown variant name raises the one ``check_variants``
+    message, listing the valid names, before any system is built."""
+    from repro.experiments import runner
+    from repro.sim.kernel import Simulator
+
+    module = runner.experiment(name)
+
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("built a system for an unknown variant")
+
+    # every system is built on a fresh simulator
+    monkeypatch.setattr(Simulator, "__init__", no_build)
+    with pytest.raises(ValueError) as info:
+        _VARIANT_CALLS[call](module)
+    valid = ", ".join(module.VARIANTS)
+    assert str(info.value) == f"unknown variant 'bogus'; valid variants: {valid}"
 
 
 def test_expand_jobs_variants_and_seeds():

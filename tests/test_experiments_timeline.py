@@ -132,7 +132,7 @@ def test_every_table_row_is_one_registry_entry():
 
     timeline_entries = [
         name for name, entry in REGISTRY.items()
-        if entry.entry == "repro.experiments.timeline:run_experiment"
+        if entry.module == "timeline"
     ]
     assert timeline_entries == list(TIMELINES)
     for name, row in TIMELINES.items():

@@ -348,6 +348,59 @@ def test_live_fanout_cell_writes_heartbeats_with_leaf_tiers():
     assert watched["leaf_samples"] > 0
 
 
+#: a short run of each experiment whose cells build their own system
+#: (the fan-out cell has its own test above)
+_BUILT_SYSTEM_RUNS = {
+    "cache_storage": lambda module: module.run(
+        duration=6.0, clients=1400, variants=["storm"]),
+    "deep_chain": lambda module: module.run(depths=[3], duration=4.0),
+    "replication": lambda module: [
+        module.run_one(replicas=2, clients=2000, duration=7.0)],
+    "fig02": lambda module: module.run(duration=7.0),
+}
+
+
+def _run_results(cells):
+    """Every RunResult held in an experiment's (nested) cells."""
+    from repro.core.evaluation import RunResult
+
+    if isinstance(cells, RunResult):
+        yield cells
+    elif isinstance(cells, dict):
+        for value in cells.values():
+            yield from _run_results(value)
+    elif isinstance(cells, list):
+        for value in cells:
+            yield from _run_results(value)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT_SYSTEM_RUNS))
+def test_live_cells_write_heartbeats_and_keep_their_record(name):
+    """Every cell of an experiment that builds its own system keeps its
+    RunResult and picks the configured live mode up through the one
+    run lifecycle: each run's telemetry emits heartbeats to the sink,
+    and the experiment's record equals the unwatched run's."""
+    from repro.experiments.runner import experiment
+
+    module = experiment(name)
+    plain = _BUILT_SYSTEM_RUNS[name](module)
+    sink = io.StringIO()
+    live.configure(interval=1.0, sink=sink, label=name)
+    try:
+        watched = _BUILT_SYSTEM_RUNS[name](module)
+    finally:
+        live.reset()
+    beats = [json.loads(line) for line in sink.getvalue().splitlines()]
+    runs = list(_run_results(watched))
+    assert runs
+    for run in runs:
+        assert len(run.telemetry.heartbeats) >= 3
+        assert run.telemetry.heartbeats[-1]["final"]
+    assert [beat for run in runs for beat in run.telemetry.heartbeats] == beats
+    assert all(run.telemetry is None for run in _run_results(plain))
+    assert module.record(watched) == module.record(plain)
+
+
 def test_live_sampler_reaches_the_client_of_a_built_system():
     """``--sample-rate`` decides trace keeping for every client the
     configured telemetry is attached to, the graph client included."""
